@@ -489,7 +489,10 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Options opt = baton::bench::ParseOptions(argc, argv);
+  baton::bench::Options opt = baton::bench::ParseOptions(
+      argc, argv,
+      baton::bench::kOverlayFlags | baton::bench::kLatencyFlags |
+          baton::bench::kKeyDistFlags | baton::bench::kCacheFlags);
   // The cache is this bench's subject: default it on at the documented
   // sizing (--cache=SIZE[,k] still overrides, SIZE > 0 required here).
   if (!opt.cache_enabled()) opt.cache_capacity = 256;

@@ -306,7 +306,10 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Options opt = baton::bench::ParseOptions(argc, argv);
+  baton::bench::Options opt = baton::bench::ParseOptions(
+      argc, argv,
+      baton::bench::kOverlayFlags | baton::bench::kLatencyFlags |
+          baton::bench::kFaultFlags);
   // This bench's JSON table is its primary artifact: default the mirror on.
   if (opt.json_path.empty()) {
     opt.json_path = "BENCH_faults.json";

@@ -85,9 +85,10 @@ SeedSample RunSeed(const std::string& name, size_t n, int s,
 
   Rng rng(Mix64(seed ^ 0x1a7e));
   for (int q = 0; q < opt.queries; ++q) {
-    auto st = inst.overlay->ExactSearch(
-        inst.members[rng.NextBelow(inst.members.size())],
-        query_keys->Next(&rng));
+    // Key before origin, spelled out: argument evaluation order is
+    // unspecified, and the table must not depend on the compiler's choice.
+    Key k = query_keys->Next(&rng);
+    auto st = inst.overlay->ExactSearch(inst.RandomMember(&rng), k);
     BATON_CHECK(st.ok()) << st.status.ToString();
     out.exact_hops.push_back(static_cast<double>(st.hops));
     out.exact_lat.push_back(static_cast<double>(st.latency_ticks));
@@ -101,8 +102,8 @@ SeedSample RunSeed(const std::string& name, size_t n, int s,
   }
   for (int q = 0; q < opt.queries; ++q) {
     Key lo = rng.UniformInt(1, kDomainHi - width - 1);
-    auto st = inst.overlay->RangeSearch(
-        inst.members[rng.NextBelow(inst.members.size())], lo, lo + width);
+    auto st =
+        inst.overlay->RangeSearch(inst.RandomMember(&rng), lo, lo + width);
     BATON_CHECK(st.ok()) << st.status.ToString();
     out.range_msgs.push_back(static_cast<double>(st.messages));
     out.range_lat.push_back(static_cast<double>(st.latency_ticks));
@@ -173,7 +174,10 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Options opt = baton::bench::ParseOptions(argc, argv);
+  baton::bench::Options opt = baton::bench::ParseOptions(
+      argc, argv,
+      baton::bench::kOverlayFlags | baton::bench::kLatencyFlags |
+          baton::bench::kKeyDistFlags | baton::bench::kObsFlags);
   if (!opt.latency.enabled()) {
     // A latency bench without a latency model would print zeros; default to
     // one tick per hop so ticks read as sequential-hop equivalents.

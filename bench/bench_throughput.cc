@@ -284,6 +284,9 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Run(baton::bench::ParseOptions(argc, argv));
+  baton::bench::Run(baton::bench::ParseOptions(
+      argc, argv,
+      baton::bench::kOverlayFlags | baton::bench::kKeyDistFlags |
+          baton::bench::kServeFlags));
   return 0;
 }

@@ -183,7 +183,10 @@ int Main(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  Options opt = ParseOptions(static_cast<int>(rest.size()), rest.data());
+  Options opt = ParseOptions(
+      static_cast<int>(rest.size()), rest.data(), kOverlayFlags,
+      "  --phases=a,b,c        phases to time: build, load, replay, churn\n"
+      "                        (default all four)\n");
   // This bench's JSON table is its primary artifact: default the mirror on.
   if (opt.json_path.empty()) {
     opt.json_path = "BENCH_wallclock.json";

@@ -147,230 +147,85 @@ std::string JoinedRegisteredNames() {
   return joined;
 }
 
-void PrintUsage(std::FILE* out, const char* argv0) {
-  std::fprintf(
-      out,
-      "usage: %s [flags]\n"
-      "  --paper_scale         paper setup: N=1000..10000, 1000 keys/node, "
-      "10 seeds\n"
-      "  --csv                 machine-readable CSV tables\n"
-      "  --sizes=a,b,c         network sizes to sweep\n"
-      "  --seeds=N             seeds (independent runs) per point\n"
-      "  --keys=N              keys per node\n"
-      "  --queries=N           queries/operations per point\n"
-      "  --seed=S              base RNG seed\n"
-      "  --overlay=name[,...]  backends to run (registered: %s)\n"
-      "  --threads=N           worker threads for per-(backend,N,seed) "
-      "tasks\n"
-      "                        (default 1; 0 = hardware concurrency)\n"
-      "  --list-overlays       print the registered backend names and exit\n"
-      "  --latency=MODEL       link latency: const:N or uniform:LO,HI "
-      "(ticks);\n"
-      "                        enables simulated per-op latency reporting\n"
-      "  --key-dist=D[,...]    request-key distribution(s): uniform or\n"
-      "                        zipf:THETA (THETA > 0, e.g. zipf:0.9); "
-      "benches\n"
-      "                        that honour it run one series per entry\n"
-      "  --load=f1,f2,...      offered-load sweep for bench_throughput, as\n"
-      "                        fractions of calibrated capacity (default\n"
-      "                        0.5,0.8,0.95,1.1,1.3)\n"
-      "  --arrivals=KIND       open-loop arrival process: poisson (default)\n"
-      "                        or fixed\n"
-      "  --service-ticks=N     per-message node service time in ticks "
-      "(>= 1;\n"
-      "                        default 1; serving-engine benches)\n"
-      "  --max-queue=N         per-node queue bound, arrivals past it drop\n"
-      "                        the op (default 0 = unbounded)\n"
-      "  --timeout-ticks=N     sojourns past N ticks count as timed out\n"
-      "                        (default 0 = no deadline)\n"
-      "  --stragglers=K:F      mark K nodes as stragglers with F x the\n"
-      "                        global service time (serving-engine benches;\n"
-      "                        default 0 = homogeneous fleet)\n"
-      "  --drop=p1,p2,...      per-message drop probabilities to sweep\n"
-      "                        (bench_faults; default 0.01,0.05,0.10)\n"
-      "  --dup=P               per-message duplicate-delivery probability\n"
-      "                        (bench_faults; default 0)\n"
-      "  --retries=r1,r2,...   retry budgets to sweep (bench_faults;\n"
-      "                        default 0,1,3)\n"
-      "  --cache=SIZE[,k]      attach a hot-path cache: per-node route cache\n"
-      "                        of SIZE entries plus a replicated fast-table\n"
-      "                        of the top k tree levels (default k=2; SIZE 0\n"
-      "                        leaves the cache detached; cache-aware "
-      "benches)\n"
-      "  --json=PATH           mirror every table into PATH as JSON rows\n"
-      "  --trace=PATH          write a Chrome trace-event JSON (open in\n"
-      "                        Perfetto) of every replayed op + message\n"
-      "                        (observability-aware benches only)\n"
-      "  --metrics=PATH        write per-task obs metrics snapshots as "
-      "JSON\n"
-      "                        (observability-aware benches only)\n"
-      "  --help                print this message and exit\n",
-      argv0, JoinedRegisteredNames().c_str());
+// ---- Flag parsing ---------------------------------------------------------
+
+/// The ParseOptions call in progress: every diagnostic prints the usage of
+/// exactly the flags this binary honours.
+struct ParseContext {
+  const char* argv0 = "bench";
+  unsigned groups = kCoreFlags;
+  const char* extra_usage = "";
+};
+ParseContext g_parse;
+
+void PrintUsage(std::FILE* out);
+
+/// Prints `msg` plus the usage to stderr and exits 2.
+[[noreturn]] void BadFlag(const std::string& msg) {
+  std::fprintf(stderr, "%s\n", msg.c_str());
+  PrintUsage(stderr);
+  std::exit(2);
 }
 
 /// Strict base-10 parse for numeric flags: the whole value must be digits
 /// (no sign, no trailing junk), must not overflow uint64, and must land in
-/// [min_value, max_value]. Anything else prints a diagnostic plus the usage
-/// and exits 2 -- atoi-style parsing silently turned "--threads=-2" into a
-/// negative and "--seeds=2x" into 2.
-uint64_t ParseFlagUint(const char* argv0, const char* flag, const char* val,
-                       uint64_t min_value, uint64_t max_value = UINT64_MAX) {
+/// [min_value, max_value] -- atoi-style parsing silently turned
+/// "--threads=-2" into a negative and "--seeds=2x" into 2.
+uint64_t ParseFlagUint(const char* flag, const char* val, uint64_t min_value,
+                       uint64_t max_value = UINT64_MAX) {
   uint64_t v = 0;
   bool ok = *val != '\0';
   for (const char* p = val; ok && *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      ok = false;
-      break;
-    }
-    uint64_t d = static_cast<uint64_t>(*p - '0');
-    if (v > (UINT64_MAX - d) / 10) {
-      ok = false;  // overflow
-      break;
-    }
-    v = v * 10 + d;
+    uint64_t d = static_cast<uint64_t>(*p - '0');  // wraps for non-digits
+    ok = d <= 9 && v <= (UINT64_MAX - d) / 10;
+    if (ok) v = v * 10 + d;
   }
   if (!ok || v < min_value || v > max_value) {
-    std::fprintf(stderr,
-                 "bad %s value '%s' (need an integer in [%llu, %llu])\n",
-                 flag, val, static_cast<unsigned long long>(min_value),
-                 static_cast<unsigned long long>(max_value));
-    PrintUsage(stderr, argv0);
-    std::exit(2);
+    BadFlag(std::string("bad ") + flag + " value '" + val +
+            "' (need an integer in [" + std::to_string(min_value) + ", " +
+            std::to_string(max_value) + "])");
   }
   return v;
 }
 
-/// Strict double parse: the whole value must be a finite number > 0.
-double ParseFlagPositiveDouble(const char* argv0, const char* flag,
-                               const char* val) {
+/// Strict double parse: the whole value must be a finite number in
+/// (0, max_value].
+double ParseFlagDouble(const char* flag, const char* val,
+                       double max_value = HUGE_VAL) {
   char* end = nullptr;
   double v = std::strtod(val, &end);
-  if (end == val || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-    std::fprintf(stderr, "bad %s value '%s' (need a finite number > 0)\n",
-                 flag, val);
-    PrintUsage(stderr, argv0);
-    std::exit(2);
+  if (end == val || *end != '\0' || !std::isfinite(v) || v <= 0.0 ||
+      v > max_value) {
+    BadFlag(std::string("bad ") + flag + " value '" + val +
+            (max_value == HUGE_VAL ? "' (need a finite number > 0)"
+                                   : "' (need a probability in (0, 1])"));
   }
   return v;
 }
 
-std::vector<size_t> ParseSizes(const char* argv0, const char* arg) {
-  std::vector<size_t> out;
+/// Parses a comma list, one `parse(piece)` per entry; an empty list is an
+/// error.
+template <typename T, typename Fn>
+std::vector<T> ParseList(const char* flag, const char* arg, Fn&& parse) {
+  std::vector<T> out;
   for (const std::string& piece : SplitNames(arg)) {
-    out.push_back(static_cast<size_t>(
-        ParseFlagUint(argv0, "--sizes", piece.c_str(), 1)));
+    out.push_back(parse(piece.c_str()));
   }
-  if (out.empty()) {
-    std::fprintf(stderr, "--sizes needs at least one network size\n");
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
+  if (out.empty()) BadFlag(std::string(flag) + " needs at least one value");
   return out;
 }
 
-std::vector<double> ParseLoads(const char* argv0, const char* arg) {
-  std::vector<double> out;
-  for (const std::string& piece : SplitNames(arg)) {
-    out.push_back(ParseFlagPositiveDouble(argv0, "--load", piece.c_str()));
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--load needs at least one load fraction\n");
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-  return out;
+const char* NeedPath(const char* flag, const char* val) {
+  if (*val == '\0') BadFlag(std::string(flag) + " needs a file path");
+  return val;
 }
 
-/// Strict probability parse: a finite number in (0, 1].
-double ParseFlagProb(const char* argv0, const char* flag, const char* val) {
-  double v = ParseFlagPositiveDouble(argv0, flag, val);
-  if (v > 1.0) {
-    std::fprintf(stderr, "bad %s value '%s' (need a probability in (0, 1])\n",
-                 flag, val);
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-  return v;
-}
-
-std::vector<double> ParseDropRates(const char* argv0, const char* arg) {
-  std::vector<double> out;
-  for (const std::string& piece : SplitNames(arg)) {
-    out.push_back(ParseFlagProb(argv0, "--drop", piece.c_str()));
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--drop needs at least one drop probability\n");
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-  return out;
-}
-
-std::vector<int> ParseRetryBudgets(const char* argv0, const char* arg) {
-  std::vector<int> out;
-  for (const std::string& piece : SplitNames(arg)) {
-    out.push_back(static_cast<int>(
-        ParseFlagUint(argv0, "--retries", piece.c_str(), 0, 64)));
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--retries needs at least one retry budget\n");
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-  return out;
-}
-
-/// Parses --cache=SIZE[,k] (route-cache capacity, optional fast-table
-/// levels) into opt.cache_capacity / opt.cache_levels.
-void ParseCacheSpec(const char* argv0, const char* arg, Options* opt) {
-  const char* comma = std::strchr(arg, ',');
-  if (comma == nullptr) {
-    opt->cache_capacity =
-        static_cast<size_t>(ParseFlagUint(argv0, "--cache", arg, 0));
-    return;
-  }
-  std::string size(arg, static_cast<size_t>(comma - arg));
-  opt->cache_capacity = static_cast<size_t>(
-      ParseFlagUint(argv0, "--cache", size.c_str(), 0));
-  opt->cache_levels = static_cast<int>(
-      ParseFlagUint(argv0, "--cache", comma + 1, 0, 16));
-}
-
-/// Parses --stragglers=K:FACTOR (K >= 0 straggler nodes, FACTOR > 1
-/// service-time multiplier) into opt.stragglers / opt.straggler_factor.
-void ParseStragglers(const char* argv0, const char* arg, Options* opt) {
-  const char* colon = std::strchr(arg, ':');
-  if (colon == nullptr) {
-    std::fprintf(stderr,
-                 "bad --stragglers value '%s' (want K:FACTOR, e.g. 4:8)\n",
-                 arg);
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-  std::string k(arg, static_cast<size_t>(colon - arg));
-  opt->stragglers = static_cast<size_t>(
-      ParseFlagUint(argv0, "--stragglers", k.c_str(), 0));
-  opt->straggler_factor =
-      ParseFlagPositiveDouble(argv0, "--stragglers", colon + 1);
-  if (opt->straggler_factor <= 1.0) {
-    std::fprintf(stderr,
-                 "bad --stragglers factor '%s' (need a multiplier > 1)\n",
-                 colon + 1);
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-}
-
-}  // namespace
-
+/// Parses "const:N" or "uniform:LO,HI" (HI >= LO).
 LatencySpec ParseLatencySpec(const char* arg) {
   LatencySpec spec;
   auto bad = [&]() {
-    std::fprintf(stderr,
-                 "bad --latency value '%s' (want const:N or uniform:LO,HI "
-                 "with LO <= HI)\n",
-                 arg);
-    std::exit(2);
+    BadFlag(std::string("bad --latency value '") + arg +
+            "' (want const:N or uniform:LO,HI with LO <= HI)");
   };
   auto parse_ticks = [&](const char** p) {
     if (**p < '0' || **p > '9') bad();
@@ -401,6 +256,232 @@ LatencySpec ParseLatencySpec(const char* arg) {
   return spec;
 }
 
+/// Parses one "uniform" / "zipf:THETA" (THETA > 0) entry.
+KeyDistSpec ParseKeyDist(const char* name) {
+  KeyDistSpec spec;
+  if (std::strcmp(name, "uniform") == 0) return spec;
+  if (std::strncmp(name, "zipf:", 5) == 0) {
+    spec.kind = KeyDistSpec::Kind::kZipf;
+    spec.theta = ParseFlagDouble("--key-dist zipf", name + 5);
+    return spec;
+  }
+  BadFlag(std::string("bad --key-dist entry '") + name +
+          "' (want uniform or zipf:THETA with THETA > 0)");
+}
+
+/// Splits "A<sep>B" at the first `sep`; no separator leaves *b empty.
+void SplitPair(const char* arg, char sep, std::string* a, std::string* b) {
+  const char* at = std::strchr(arg, sep);
+  *a = at == nullptr ? arg : std::string(arg, static_cast<size_t>(at - arg));
+  *b = at == nullptr ? "" : at + 1;
+}
+
+/// One command-line flag: the groups that honour it, its usage line and how
+/// it sets Options.
+struct Flag {
+  const char* name;  // "--csv" matches exactly; "--sizes=" prefixes a value
+  const char* arg;   // value placeholder shown in the usage
+  unsigned groups;   // FlagGroup bits that honour it; kCoreFlags = always
+  const char* help;  // usage text; '\n' continues on an indented line
+  void (*set)(Options* opt, const char* val);
+};
+
+const Flag kFlags[] = {
+    {"--paper_scale", "", kCoreFlags,
+     "paper setup: N=1000..10000, 1000 keys/node, 10 seeds",
+     [](Options* o, const char*) {
+       o->keys_per_node = 1000;
+       o->seeds = 10;
+       o->sizes = {1000, 2000, 4000, 6000, 8000, 10000};
+     }},
+    {"--csv", "", kCoreFlags, "machine-readable CSV tables",
+     [](Options* o, const char*) { o->csv = true; }},
+    {"--sizes=", "a,b,c", kCoreFlags, "network sizes to sweep",
+     [](Options* o, const char* v) {
+       o->sizes = ParseList<size_t>("--sizes", v, [](const char* p) {
+         return static_cast<size_t>(ParseFlagUint("--sizes", p, 1));
+       });
+     }},
+    {"--seeds=", "N", kCoreFlags, "seeds (independent runs) per point",
+     [](Options* o, const char* v) {
+       o->seeds = static_cast<int>(ParseFlagUint("--seeds", v, 1, INT_MAX));
+     }},
+    {"--keys=", "N", kCoreFlags, "keys per node",
+     [](Options* o, const char* v) {
+       o->keys_per_node = static_cast<size_t>(ParseFlagUint("--keys", v, 0));
+     }},
+    {"--queries=", "N", kCoreFlags, "queries/operations per point",
+     [](Options* o, const char* v) {
+       o->queries = static_cast<int>(ParseFlagUint("--queries", v, 0, INT_MAX));
+     }},
+    {"--seed=", "S", kCoreFlags, "base RNG seed",
+     [](Options* o, const char* v) {
+       o->base_seed = ParseFlagUint("--seed", v, 0);
+     }},
+    {"--overlay=", "name[,...]", kOverlayFlags,
+     "backends to run (--list-overlays prints them)",
+     [](Options* o, const char* v) {
+       o->overlays = ParseList<std::string>("--overlay", v, [](const char* p) {
+         if (!overlay::IsRegistered(p)) {
+           BadFlag(std::string("unknown overlay backend '") + p +
+                   "' (registered: " + JoinedRegisteredNames() + ")");
+         }
+         return std::string(p);
+       });
+     }},
+    {"--threads=", "N", kOverlayFlags,
+     "worker threads for per-(backend,N,seed) tasks\n"
+     "(default 1; 0 = hardware concurrency)",
+     [](Options* o, const char* v) {
+       o->threads = static_cast<int>(ParseFlagUint("--threads", v, 0, INT_MAX));
+     }},
+    {"--list-overlays", "", kOverlayFlags,
+     "print the registered backend names and exit",
+     [](Options*, const char*) {
+       for (const std::string& name : overlay::RegisteredNames()) {
+         std::printf("%s\n", name.c_str());
+       }
+       std::exit(0);
+     }},
+    {"--latency=", "MODEL", kLatencyFlags,
+     "link latency: const:N or uniform:LO,HI (ticks);\n"
+     "enables simulated per-op latency reporting",
+     [](Options* o, const char* v) { o->latency = ParseLatencySpec(v); }},
+    {"--key-dist=", "D[,...]", kKeyDistFlags,
+     "request-key distribution(s): uniform or\n"
+     "zipf:THETA (THETA > 0, e.g. zipf:0.9)",
+     [](Options* o, const char* v) {
+       o->key_dists = ParseList<KeyDistSpec>("--key-dist", v, ParseKeyDist);
+     }},
+    {"--load=", "f1,f2,...", kServeFlags,
+     "offered-load sweep, as fractions of calibrated\n"
+     "capacity (default 0.5,0.8,0.95,1.1,1.3)",
+     [](Options* o, const char* v) {
+       o->loads = ParseList<double>("--load", v, [](const char* p) {
+         return ParseFlagDouble("--load", p);
+       });
+     }},
+    {"--arrivals=", "KIND", kServeFlags,
+     "open-loop arrival process: poisson (default)\nor fixed",
+     [](Options* o, const char* v) {
+       if (std::strcmp(v, "poisson") != 0 && std::strcmp(v, "fixed") != 0) {
+         BadFlag(std::string("bad --arrivals value '") + v +
+                 "' (want poisson or fixed)");
+       }
+       o->arrivals = v;
+     }},
+    {"--service-ticks=", "N", kServeFlags,
+     "per-message node service time in ticks (>= 1;\ndefault 1)",
+     [](Options* o, const char* v) {
+       o->service_ticks = ParseFlagUint("--service-ticks", v, 1);
+     }},
+    {"--max-queue=", "N", kServeFlags,
+     "per-node queue bound, arrivals past it drop\n"
+     "the op (default 0 = unbounded)",
+     [](Options* o, const char* v) {
+       o->max_queue = ParseFlagUint("--max-queue", v, 0);
+     }},
+    {"--timeout-ticks=", "N", kServeFlags | kFaultFlags | kCacheFlags,
+     "client deadline: ops past N ticks count as timed\n"
+     "out (default 0 = no deadline)",
+     [](Options* o, const char* v) {
+       o->timeout_ticks = ParseFlagUint("--timeout-ticks", v, 0);
+     }},
+    {"--stragglers=", "K:F", kServeFlags,
+     "mark K nodes as stragglers with F x the global\n"
+     "service time (default 0 = homogeneous fleet)",
+     [](Options* o, const char* v) {
+       std::string k, factor;
+       SplitPair(v, ':', &k, &factor);
+       if (factor.empty()) {
+         BadFlag(std::string("bad --stragglers value '") + v +
+                 "' (want K:FACTOR with FACTOR > 1, e.g. 4:8)");
+       }
+       o->stragglers =
+           static_cast<size_t>(ParseFlagUint("--stragglers", k.c_str(), 0));
+       o->straggler_factor = ParseFlagDouble("--stragglers", factor.c_str());
+       if (o->straggler_factor <= 1.0) {
+         BadFlag("bad --stragglers factor '" + factor +
+                 "' (need a multiplier > 1)");
+       }
+     }},
+    {"--drop=", "p1,p2,...", kFaultFlags,
+     "per-message drop probabilities to sweep\n(default 0.01,0.05,0.10)",
+     [](Options* o, const char* v) {
+       o->drop_rates = ParseList<double>("--drop", v, [](const char* p) {
+         return ParseFlagDouble("--drop", p, 1.0);
+       });
+     }},
+    {"--dup=", "P", kFaultFlags,
+     "per-message duplicate-delivery probability\n(default 0)",
+     [](Options* o, const char* v) {
+       o->dup_rate = ParseFlagDouble("--dup", v, 1.0);
+     }},
+    {"--retries=", "r1,r2,...", kFaultFlags,
+     "retry budgets to sweep (default 0,1,3)",
+     [](Options* o, const char* v) {
+       o->retry_budgets = ParseList<int>("--retries", v, [](const char* p) {
+         return static_cast<int>(ParseFlagUint("--retries", p, 0, 64));
+       });
+     }},
+    {"--cache=", "SIZE[,k]", kCacheFlags,
+     "hot-path cache: per-node route cache of SIZE\n"
+     "entries plus a replicated fast-table of the top\n"
+     "k tree levels (default k=2; SIZE 0 = detached)",
+     [](Options* o, const char* v) {
+       std::string size, levels;
+       SplitPair(v, ',', &size, &levels);
+       o->cache_capacity =
+           static_cast<size_t>(ParseFlagUint("--cache", size.c_str(), 0));
+       if (std::strchr(v, ',') != nullptr) {
+         o->cache_levels =
+             static_cast<int>(ParseFlagUint("--cache", levels.c_str(), 0, 16));
+       }
+     }},
+    {"--json=", "PATH", kCoreFlags, "mirror every table into PATH as JSON rows",
+     // Last occurrence wins; the mirror is opened once, after parsing.
+     [](Options* o, const char* v) { o->json_path = NeedPath("--json", v); }},
+    {"--trace=", "PATH", kObsFlags,
+     "write a Chrome trace-event JSON (open in\n"
+     "Perfetto) of every replayed op + message",
+     [](Options* o, const char* v) { o->trace_path = NeedPath("--trace", v); }},
+    {"--metrics=", "PATH", kObsFlags,
+     "write per-task obs metrics snapshots as JSON",
+     [](Options* o, const char* v) {
+       o->metrics_path = NeedPath("--metrics", v);
+     }},
+    {"--help", "", kCoreFlags, "print this message and exit",
+     [](Options*, const char*) {
+       PrintUsage(stdout);
+       std::exit(0);
+     }},
+};
+
+bool Honoured(const Flag& f) {
+  return f.groups == kCoreFlags || (f.groups & g_parse.groups) != 0;
+}
+
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out, "usage: %s [flags]\n", g_parse.argv0);
+  for (const Flag& f : kFlags) {
+    if (!Honoured(f)) continue;
+    std::string head = std::string(f.name) + f.arg;
+    std::fprintf(out, "  %-21s ", head.c_str());
+    for (const char* h = f.help; *h != '\0'; ++h) {
+      std::fputc(*h, out);
+      if (*h == '\n') std::fprintf(out, "%24s", "");
+    }
+    std::fputc('\n', out);
+  }
+  std::fputs(g_parse.extra_usage, out);
+  if ((g_parse.groups & kOverlayFlags) != 0) {
+    std::fprintf(out, "registered backends: %s\n",
+                 JoinedRegisteredNames().c_str());
+  }
+}
+
+}  // namespace
+
 std::unique_ptr<sim::LatencyModel> MakeLatencyModel(const LatencySpec& spec) {
   switch (spec.kind) {
     case LatencySpec::Kind::kNone:
@@ -418,37 +499,6 @@ std::string KeyDistSpec::Label() const {
   char buf[32];
   std::snprintf(buf, sizeof buf, "zipf:%.2g", theta);
   return buf;
-}
-
-std::vector<KeyDistSpec> ParseKeyDists(const char* arg) {
-  auto bad = [&]() {
-    std::fprintf(stderr,
-                 "bad --key-dist value '%s' (want a comma list of uniform "
-                 "or zipf:THETA with THETA > 0)\n",
-                 arg);
-    std::exit(2);
-  };
-  std::vector<KeyDistSpec> out;
-  for (const std::string& name : SplitNames(arg)) {
-    KeyDistSpec spec;
-    if (name == "uniform") {
-      // defaults
-    } else if (name.rfind("zipf:", 0) == 0) {
-      spec.kind = KeyDistSpec::Kind::kZipf;
-      const char* t = name.c_str() + 5;
-      char* end = nullptr;
-      spec.theta = std::strtod(t, &end);
-      if (end == t || *end != '\0' || !std::isfinite(spec.theta) ||
-          spec.theta <= 0.0) {
-        bad();
-      }
-    } else {
-      bad();
-    }
-    out.push_back(spec);
-  }
-  if (out.empty()) bad();
-  return out;
 }
 
 std::unique_ptr<workload::KeyGenerator> MakeKeyGenerator(
@@ -530,112 +580,27 @@ void WriteObsArtifacts(const Options& opt, const std::vector<SeedTask>& tasks,
     std::printf("wrote metrics snapshots to %s\n", opt.metrics_path.c_str());
   }
 }
-
-Options ParseOptions(int argc, char** argv) {
+Options ParseOptions(int argc, char** argv, unsigned groups,
+                     const char* extra_usage) {
+  g_parse = {argv[0], groups, extra_usage};
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strcmp(a, "--paper_scale") == 0) {
-      opt.keys_per_node = 1000;
-      opt.seeds = 10;
-      opt.sizes = {1000, 2000, 4000, 6000, 8000, 10000};
-    } else if (std::strcmp(a, "--csv") == 0) {
-      opt.csv = true;
-    } else if (std::strcmp(a, "--help") == 0) {
-      PrintUsage(stdout, argv[0]);
-      std::exit(0);
-    } else if (std::strcmp(a, "--list-overlays") == 0) {
-      for (const std::string& name : overlay::RegisteredNames()) {
-        std::printf("%s\n", name.c_str());
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags) {
+      size_t len = std::strlen(f.name);
+      bool match = f.name[len - 1] == '=' ? std::strncmp(a, f.name, len) == 0
+                                          : std::strcmp(a, f.name) == 0;
+      if (match) {
+        flag = &f;
+        break;
       }
-      std::exit(0);
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      opt.threads = static_cast<int>(
-          ParseFlagUint(argv[0], "--threads", a + 10, 0, INT_MAX));
-    } else if (std::strncmp(a, "--seeds=", 8) == 0) {
-      opt.seeds = static_cast<int>(
-          ParseFlagUint(argv[0], "--seeds", a + 8, 1, INT_MAX));
-    } else if (std::strncmp(a, "--keys=", 7) == 0) {
-      opt.keys_per_node =
-          static_cast<size_t>(ParseFlagUint(argv[0], "--keys", a + 7, 0));
-    } else if (std::strncmp(a, "--queries=", 10) == 0) {
-      opt.queries = static_cast<int>(
-          ParseFlagUint(argv[0], "--queries", a + 10, 0, INT_MAX));
-    } else if (std::strncmp(a, "--sizes=", 8) == 0) {
-      opt.sizes = ParseSizes(argv[0], a + 8);
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      opt.base_seed = ParseFlagUint(argv[0], "--seed", a + 7, 0);
-    } else if (std::strncmp(a, "--latency=", 10) == 0) {
-      opt.latency = ParseLatencySpec(a + 10);
-    } else if (std::strncmp(a, "--key-dist=", 11) == 0) {
-      opt.key_dists = ParseKeyDists(a + 11);
-    } else if (std::strncmp(a, "--load=", 7) == 0) {
-      opt.loads = ParseLoads(argv[0], a + 7);
-    } else if (std::strncmp(a, "--arrivals=", 11) == 0) {
-      opt.arrivals = a + 11;
-      if (opt.arrivals != "poisson" && opt.arrivals != "fixed") {
-        std::fprintf(stderr,
-                     "bad --arrivals value '%s' (want poisson or fixed)\n",
-                     opt.arrivals.c_str());
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--service-ticks=", 16) == 0) {
-      opt.service_ticks =
-          ParseFlagUint(argv[0], "--service-ticks", a + 16, 1);
-    } else if (std::strncmp(a, "--max-queue=", 12) == 0) {
-      opt.max_queue = ParseFlagUint(argv[0], "--max-queue", a + 12, 0);
-    } else if (std::strncmp(a, "--timeout-ticks=", 16) == 0) {
-      opt.timeout_ticks =
-          ParseFlagUint(argv[0], "--timeout-ticks", a + 16, 0);
-    } else if (std::strncmp(a, "--stragglers=", 13) == 0) {
-      ParseStragglers(argv[0], a + 13, &opt);
-    } else if (std::strncmp(a, "--drop=", 7) == 0) {
-      opt.drop_rates = ParseDropRates(argv[0], a + 7);
-    } else if (std::strncmp(a, "--dup=", 6) == 0) {
-      opt.dup_rate = ParseFlagProb(argv[0], "--dup", a + 6);
-    } else if (std::strncmp(a, "--retries=", 10) == 0) {
-      opt.retry_budgets = ParseRetryBudgets(argv[0], a + 10);
-    } else if (std::strncmp(a, "--cache=", 8) == 0) {
-      ParseCacheSpec(argv[0], a + 8, &opt);
-    } else if (std::strncmp(a, "--trace=", 8) == 0) {
-      opt.trace_path = a + 8;
-      if (opt.trace_path.empty()) {
-        std::fprintf(stderr, "--trace needs a file path\n");
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--metrics=", 10) == 0) {
-      opt.metrics_path = a + 10;
-      if (opt.metrics_path.empty()) {
-        std::fprintf(stderr, "--metrics needs a file path\n");
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--json=", 7) == 0) {
-      // Last occurrence wins, like every other repeatable flag; the mirror
-      // is opened once, after the loop.
-      opt.json_path = a + 7;
-      if (opt.json_path.empty()) {
-        std::fprintf(stderr, "--json needs a file path\n");
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--overlay=", 10) == 0) {
-      opt.overlays = SplitNames(a + 10);
-      if (opt.overlays.empty()) {
-        std::fprintf(stderr, "--overlay needs at least one backend name\n");
-        std::exit(2);
-      }
-      for (const std::string& name : opt.overlays) {
-        if (!overlay::IsRegistered(name)) {
-          std::fprintf(stderr,
-                       "unknown overlay backend '%s' (registered: %s)\n",
-                       name.c_str(), JoinedRegisteredNames().c_str());
-          std::exit(2);
-        }
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", a);
-      PrintUsage(stderr, argv[0]);
-      std::exit(2);
     }
+    if (flag == nullptr) BadFlag(std::string("unknown flag ") + a);
+    if (!Honoured(*flag)) {
+      BadFlag(std::string("flag ") + a + " is not honoured by " + argv[0]);
+    }
+    flag->set(&opt, a + std::strlen(flag->name));
   }
   if (!opt.json_path.empty()) SetJsonMirror(opt.json_path);
   return opt;
@@ -732,14 +697,14 @@ Instance BuildOverlay(const std::string& name, size_t n, uint64_t seed,
   inst.members.push_back(inst.overlay->Bootstrap());
   auto insert_batch = [&](size_t count) {
     for (size_t i = 0; i < count; ++i) {
-      net::PeerId from = inst.members[rng.NextBelow(inst.members.size())];
+      net::PeerId from = inst.RandomMember(&rng);
       auto st = inst.overlay->Insert(from, preload->Next(&rng));
       BATON_CHECK(st.ok()) << st.status.ToString();
     }
   };
   if (preload != nullptr) insert_batch(keys_per_node);
   for (size_t i = 1; i < n; ++i) {
-    net::PeerId contact = inst.members[rng.NextBelow(inst.members.size())];
+    net::PeerId contact = inst.RandomMember(&rng);
     auto joined = inst.overlay->Join(contact);
     BATON_CHECK(joined.ok()) << joined.status.ToString();
     inst.members.push_back(joined.peer);
@@ -752,7 +717,7 @@ void LoadOverlay(Instance* inst, size_t keys_per_node,
                  workload::KeyGenerator* gen, Rng* rng) {
   size_t total = keys_per_node * inst->overlay->size();
   for (size_t i = 0; i < total; ++i) {
-    net::PeerId from = inst->members[rng->NextBelow(inst->members.size())];
+    net::PeerId from = inst->RandomMember(rng);
     auto st = inst->overlay->Insert(from, gen->Next(rng));
     BATON_CHECK(st.ok()) << st.status.ToString();
   }
@@ -804,15 +769,12 @@ void SetJsonMirror(const std::string& path) {
   std::atexit(CloseJsonMirror);
 }
 
-void Emit(const std::string& title, const TablePrinter& table, bool csv) {
-  std::printf("== %s ==\n", title.c_str());
-  std::printf("%s\n", csv ? table.ToCsv().c_str() : table.ToText().c_str());
-  std::fflush(stdout);
-}
-
 void Emit(const std::string& title, const TablePrinter& table,
           const Options& opt) {
-  Emit(title, table, opt.csv);
+  std::printf("== %s ==\n", title.c_str());
+  std::printf("%s\n",
+              opt.csv ? table.ToCsv().c_str() : table.ToText().c_str());
+  std::fflush(stdout);
   if (!opt.json_path.empty()) MirrorTableToJson(title, table);
 }
 

@@ -1,7 +1,6 @@
-// Shared harness for the figure benches: one overlay-generic Instance
-// builder/loader (any registered backend, via overlay::Make), option
-// parsing and table output. Each bench binary reproduces one panel of the
-// paper's Figure 8 and prints the series the paper plots.
+// Shared bench harness: one overlay-generic Instance builder/loader (any
+// registered backend, via overlay::Make), per-bench option parsing and table
+// output. bench_paper reproduces the panels of the paper's Figure 8 with it.
 //
 // Default scale (N up to 8000, 100 keys/node, 2 seeds) keeps every binary
 // fast; pass --paper_scale for the paper's setup (N = 1000..10000, 1000
@@ -41,10 +40,6 @@ struct LatencySpec {
   bool enabled() const { return kind != Kind::kNone; }
 };
 
-/// Parses "const:N" or "uniform:LO,HI"; prints a diagnostic and exits 2 on
-/// malformed input (including uniform bounds with HI < LO).
-LatencySpec ParseLatencySpec(const char* arg);
-
 /// Builds the latency model `spec` describes, or nullptr for Kind::kNone.
 std::unique_ptr<sim::LatencyModel> MakeLatencyModel(const LatencySpec& spec);
 
@@ -60,10 +55,6 @@ struct KeyDistSpec {
   /// Table/column label: "uniform" or "zipf:<theta>".
   std::string Label() const;
 };
-
-/// Parses a comma list of "uniform" / "zipf:THETA" (THETA > 0) entries;
-/// prints a diagnostic and exits 2 on malformed input.
-std::vector<KeyDistSpec> ParseKeyDists(const char* arg);
 
 /// Builds the request-key generator `spec` describes over [lo, hi).
 std::unique_ptr<workload::KeyGenerator> MakeKeyGenerator(
@@ -93,8 +84,7 @@ struct Options {
   std::string json_path;
   /// --trace=PATH: record a causal op/message trace per bench task and
   /// write one merged Chrome trace-event JSON file (open in Perfetto).
-  /// Honoured by the observability-aware benches (bench_compare_overlays,
-  /// bench_latency_query). Empty = tracing off.
+  /// Only benches that honour kObsFlags accept it. Empty = tracing off.
   std::string trace_path;
   /// --metrics=PATH: write one obs::Registry JSON snapshot per bench task
   /// (an array of {overlay, N, seed, metrics} objects). Empty = off.
@@ -160,21 +150,34 @@ struct Options {
 ///   2  adds the schema field itself, obs artifacts, percentile columns
 inline constexpr int kBenchJsonSchema = 2;
 
-/// Recognised flags: --paper_scale, --csv, --seeds=N, --keys=N, --queries=N,
-/// --sizes=a,b,c, --seed=S, --overlay=name[,name...], --threads=N,
-/// --latency=const:N|uniform:LO,HI, --key-dist=uniform|zipf:THETA[,...],
-/// --load=f1,f2,..., --arrivals=poisson|fixed, --service-ticks=N,
-/// --max-queue=N, --stragglers=K:FACTOR, --drop=p1,p2,..., --dup=P,
-/// --retries=r1,r2,..., --json=PATH, --trace=PATH, --metrics=PATH,
-/// --list-overlays (prints overlay::RegisteredNames() one per line, exits
-/// 0), --help (prints usage, exits 0). Unknown flags print the usage and
-/// exit 2; usage and the --overlay rejection message both list the
-/// registered backends from the registry, so new backends appear without
-/// touching this file. Numeric flags are parsed strictly: a value that is
-/// not entirely a base-10 number in the flag's valid range (e.g.
-/// --threads=-2, --seeds=2x) prints a diagnostic plus the usage and exits 2
-/// instead of silently truncating or wrapping.
-Options ParseOptions(int argc, char** argv);
+/// Flag groups a bench honours (bits for ParseOptions). The core flags
+/// (--sizes, --seeds, --keys, --queries, --seed, --paper_scale, --csv,
+/// --json, --help) are always accepted.
+enum FlagGroup : unsigned {
+  kCoreFlags = 0,
+  kOverlayFlags = 1u << 0,  // --overlay, --threads, --list-overlays
+  kLatencyFlags = 1u << 1,  // --latency
+  kKeyDistFlags = 1u << 2,  // --key-dist
+  kObsFlags = 1u << 3,      // --trace, --metrics
+  kServeFlags = 1u << 4,    // --load, --arrivals, --service-ticks,
+                            // --max-queue, --stragglers, --timeout-ticks
+  kFaultFlags = 1u << 5,    // --drop, --dup, --retries, --timeout-ticks
+  kCacheFlags = 1u << 6,    // --cache, --timeout-ticks
+};
+
+/// Parses the flags of the given FlagGroup bits. A flag outside them, like
+/// an unknown flag, prints the usage and exits 2: a bench never silently
+/// ignores a flag. --help prints only the honoured flags plus
+/// `extra_usage` (the bench's own pre-stripped flags) and exits 0;
+/// --list-overlays prints overlay::RegisteredNames() one per line and exits
+/// 0. Usage and the --overlay rejection message list the registered
+/// backends from the registry, so new backends appear without touching
+/// this file. Numeric flags are parsed strictly: a value that is not
+/// entirely a base-10 number in the flag's valid range (e.g. --threads=-2,
+/// --seeds=2x) prints a diagnostic plus the usage and exits 2 instead of
+/// silently truncating or wrapping.
+Options ParseOptions(int argc, char** argv, unsigned groups,
+                     const char* extra_usage = "");
 
 /// Runs fn(i) for every i in [0, count) on up to `threads` worker threads
 /// (1 = inline sequential execution, 0 = hardware concurrency). Tasks are
@@ -267,6 +270,11 @@ struct Instance {
   std::unique_ptr<cache::Manager> cache;
 
   net::Network* net() { return overlay->network(); }
+
+  /// A uniformly random member: the origin or contact of one operation.
+  net::PeerId RandomMember(Rng* rng) const {
+    return members[rng->NextBelow(members.size())];
+  }
 };
 
 /// Attaches a sim/ event kernel built from `spec` to the instance (no-op
@@ -322,8 +330,7 @@ void JoinLeaveChurn(Instance* inst, Rng* rng, int ops, JoinCost&& join_cost,
                     RunningStat* leave_stat) {
   for (int i = 0; i < ops; ++i) {
     auto before = inst->net()->Snapshot();
-    auto joined = inst->overlay->Join(
-        inst->members[rng->NextBelow(inst->members.size())]);
+    auto joined = inst->overlay->Join(inst->RandomMember(rng));
     BATON_CHECK(joined.ok()) << joined.status.ToString();
     inst->members.push_back(joined.peer);
     auto mid = inst->net()->Snapshot();
@@ -353,13 +360,9 @@ uint64_t CategoryDelta(const net::CounterSnapshot& before,
                        const net::CounterSnapshot& after,
                        net::MsgCategory category);
 
-/// Prints a titled table (text or CSV per options).
-void Emit(const std::string& title, const TablePrinter& table, bool csv);
-
-/// Prints a titled table and, when opt.json_path is set (--json=PATH, or
-/// a bench default installed via SetJsonMirror), mirrors its rows into the
-/// JSON file. The bool overload never mirrors; use it for tables that must
-/// stay out of the machine-readable artifact.
+/// Prints a titled table (text or CSV per opt.csv) and, when opt.json_path
+/// is set (--json=PATH, or a bench default installed via SetJsonMirror),
+/// mirrors its rows into the JSON file.
 void Emit(const std::string& title, const TablePrinter& table,
           const Options& opt);
 
