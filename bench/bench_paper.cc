@@ -121,7 +121,8 @@ using Cost = std::function<uint64_t(const net::CounterSnapshot&,
                                     const net::CounterSnapshot&)>;
 
 Cost Types(std::vector<net::MsgType> types) {
-  return [types](const net::CounterSnapshot& a, const net::CounterSnapshot& b) {
+  return [types = std::move(types)](const net::CounterSnapshot& a,
+                                    const net::CounterSnapshot& b) {
     uint64_t sum = 0;
     for (net::MsgType t : types) sum += net::Network::DeltaOfType(a, b, t);
     return sum;
@@ -130,8 +131,9 @@ Cost Types(std::vector<net::MsgType> types) {
 
 /// kChurnOps join+leave pairs; columns: join cost, leave cost.
 Series Churn(Cost join, Cost leave) {
-  return [join, leave](Instance* inst, Rng* rng, workload::KeyGenerator*,
-                       const Options&, RunningStat* st) {
+  return [join = std::move(join), leave = std::move(leave)](
+             Instance* inst, Rng* rng, workload::KeyGenerator*, const Options&,
+             RunningStat* st) {
     JoinLeaveChurn(inst, rng, kChurnOps, join, leave, &st[0], &st[1]);
   };
 }
