@@ -682,6 +682,16 @@ int Main(int argc, char** argv) {
       "  --figure=NAME         8a..8i, ablation-fanout, ablation-lb,\n"
       "                        durability or all (default); --key-dist=D\n"
       "                        is accepted with --figure=8d only\n");
+  // Tables that divide by a per-point count have no value at 0.
+  const auto runs = [&](const char* name) {
+    return figure == "all" || figure == name;
+  };
+  if (opt.queries == 0 && runs("8i")) {
+    RejectFlag("--figure=8i divides by --queries: need --queries >= 1");
+  }
+  if (opt.keys_per_node == 0 && runs("ablation-lb")) {
+    RejectFlag("--figure=ablation-lb divides by --keys: need --keys >= 1");
+  }
   for (const Figure& f : kFigures) {
     if (figure == "all" || figure == f.name) f.run(opt);
   }

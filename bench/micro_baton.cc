@@ -142,13 +142,16 @@ void BM_ExactSearch(benchmark::State& state) {
         overlay.Join(members[rng.NextBelow(members.size())]).value());
   }
   for (int i = 0; i < 10 * state.range(0); ++i) {
-    Status s = overlay.Insert(members[rng.NextBelow(members.size())],
-                              rng.UniformInt(1, 999999999));
+    // Key before origin, in separate statements: argument evaluation order
+    // is unspecified.
+    const Key key = rng.UniformInt(1, 999999999);
+    Status s = overlay.Insert(members[rng.NextBelow(members.size())], key);
     BATON_CHECK(s.ok());
   }
   for (auto _ : state) {
-    auto res = overlay.ExactSearch(members[rng.NextBelow(members.size())],
-                                   rng.UniformInt(1, 999999999));
+    const Key key = rng.UniformInt(1, 999999999);
+    auto res =
+        overlay.ExactSearch(members[rng.NextBelow(members.size())], key);
     benchmark::DoNotOptimize(res.ok());
   }
 }

@@ -482,6 +482,8 @@ void PrintUsage(std::FILE* out) {
 
 }  // namespace
 
+void RejectFlag(const std::string& msg) { BadFlag(msg); }
+
 std::unique_ptr<sim::LatencyModel> MakeLatencyModel(const LatencySpec& spec) {
   switch (spec.kind) {
     case LatencySpec::Kind::kNone:

@@ -179,6 +179,11 @@ enum FlagGroup : unsigned {
 Options ParseOptions(int argc, char** argv, unsigned groups,
                      const char* extra_usage = "");
 
+/// Prints `msg` plus the usage of the last ParseOptions call to stderr and
+/// exits 2: for a flag value the bench cannot honour (e.g. a count its
+/// tables divide by, given as 0).
+[[noreturn]] void RejectFlag(const std::string& msg);
+
 /// Runs fn(i) for every i in [0, count) on up to `threads` worker threads
 /// (1 = inline sequential execution, 0 = hardware concurrency). Tasks are
 /// handed out in index order through an atomic cursor. Each task must touch

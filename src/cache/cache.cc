@@ -20,6 +20,84 @@ Manager::Manager(const Config& cfg) : cfg_(cfg) {
   if (cfg_.root_levels > 16) cfg_.root_levels = 16;
 }
 
+Route Manager::Consult(const Backend& b, net::Network* net, net::PeerId from,
+                       uint64_t rk) {
+  Route r;
+  r.from = from;
+  r.rk = rk;
+  r.start = from;
+  RouteEntry hint;
+  const int slot = Lookup(from, rk, &hint);
+  if (slot >= 0 && hint.owner != from) {
+    net->Count(from, hint.owner, net::MsgType::kCacheProbe);
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    if (net->IsAlive(hint.owner) && b.RouteHint(hint.owner, &lo, &hi) &&
+        RangeContains(lo, hi, rk)) {
+      ++stats_.hits;
+      r.start = hint.owner;
+      r.jump = 1;
+      r.hit = true;
+      r.cost = hint.cost;
+      return r;
+    }
+    NodeCache* nc = nodes_.Find(from);
+    nc->entries.erase(nc->entries.begin() + slot);
+    --total_entries_;
+    ++stats_.stale;
+    ++stats_.evictions;
+    r.stale = true;
+  } else if (slot < 0) {
+    ++stats_.misses;
+  }
+  if (cfg_.root_levels == 0) return r;  // fast-table disabled
+  RefreshFastTable(b, net, from);
+  const FastEntry* fe = FastLookup(rk);
+  if (fe != nullptr && fe->peer != from && net->IsAlive(fe->peer)) {
+    net->Count(from, fe->peer, net::MsgType::kCacheProbe);
+    r.start = fe->peer;
+    r.jump = 1;
+    ++stats_.fast_hits;
+  }
+  return r;
+}
+
+int Manager::Complete(const Backend& b, const Route& r, net::PeerId owner,
+                      int hops) {
+  if (r.hit) return r.cost > hops ? r.cost - hops : 0;
+  // Learn the completed route at the origin: the owner's current interval
+  // is the fact a later lookup can jump on. Zero-hop answers (the origin
+  // already owned the key) teach nothing a jump could improve.
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  if (owner != net::kNullPeer && owner != r.from &&
+      b.RouteHint(owner, &lo, &hi) && RangeContains(lo, hi, r.rk)) {
+    Learn(r.from, lo, hi, owner, hops);
+  }
+  return 0;
+}
+
+Departure Manager::BeforeMembership(const Backend& b,
+                                    net::PeerId leaver) const {
+  Departure d;
+  d.peer = leaver;
+  if (leaver != net::kNullPeer) d.hinted = b.RouteHint(leaver, &d.lo, &d.hi);
+  return d;
+}
+
+void Manager::AfterMembership(const Backend& b, const Departure& d,
+                              net::PeerId joiner) {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  if (d.peer != net::kNullPeer) {
+    if (d.hinted) InvalidateRange(d.lo, d.hi);
+    InvalidatePeer(d.peer);
+  } else if (joiner != net::kNullPeer && b.RouteHint(joiner, &lo, &hi)) {
+    InvalidateRange(lo, hi);
+  }
+  ++version_;
+}
+
 int Manager::Lookup(net::PeerId node, uint64_t rk, RouteEntry* out) {
   NodeCache* nc = nodes_.Find(node);
   if (nc == nullptr || nc->entries.empty()) return -1;
@@ -96,18 +174,6 @@ void Manager::Learn(net::PeerId node, uint64_t lo, uint64_t hi,
   }
 }
 
-void Manager::EvictStale(net::PeerId node, int slot) {
-  NodeCache* nc = nodes_.Find(node);
-  if (nc == nullptr || slot < 0 ||
-      static_cast<size_t>(slot) >= nc->entries.size()) {
-    return;
-  }
-  nc->entries.erase(nc->entries.begin() + slot);
-  ++stats_.stale;
-  ++stats_.evictions;
-  --total_entries_;
-}
-
 void Manager::InvalidatePeer(net::PeerId owner) {
   nodes_.ForEach([&](uint64_t, NodeCache& nc) {
     auto dead = std::remove_if(
@@ -133,21 +199,24 @@ void Manager::InvalidateRange(uint64_t lo, uint64_t hi) {
   });
 }
 
-bool Manager::NeedsRefresh(net::PeerId node) const {
-  if (!fast_enabled()) return false;
-  const NodeCache* nc = nodes_.Find(node);
-  return (nc == nullptr ? 0 : nc->refreshed_version) != version_;
-}
-
-void Manager::InstallSnapshot(std::vector<FastEntry> entries) {
-  fast_ = std::move(entries);
-  snapshot_version_ = version_;
-}
-
-void Manager::MarkRefreshed(net::PeerId node, uint64_t billed_msgs) {
-  nodes_.GetOrInsert(node).refreshed_version = version_;
+void Manager::RefreshFastTable(const Backend& b, net::Network* net,
+                               net::PeerId node) {
+  NodeCache& nc = nodes_.GetOrInsert(node);
+  if (nc.refreshed_version == version_) return;
+  if (snapshot_version_ != version_) {
+    fast_.clear();
+    b.CollectFastTable(cfg_.root_levels, &fast_);
+    snapshot_version_ = version_;
+  }
+  // Lazy refresh: each live fast-table node ships its region to the
+  // consulting node, billed as maintenance traffic inside this op.
+  for (const FastEntry& fe : fast_) {
+    if (fe.peer == node || !net->IsAlive(fe.peer)) continue;
+    net->Count(fe.peer, node, net::MsgType::kCacheRefresh);
+    ++stats_.refresh_msgs;
+  }
+  nc.refreshed_version = version_;
   ++stats_.refreshes;
-  stats_.refresh_msgs += billed_msgs;
 }
 
 const FastEntry* Manager::FastLookup(uint64_t rk) const {

@@ -24,10 +24,16 @@
 // means "everything" -- which lets a wrapped Chord interval be learned as
 // two plain entries and keeps lookups a single binary search.
 //
-// The Manager attaches per overlay::Overlay instance (AttachCache), same
-// lifecycle as the sim/obs/fault attachments: opt-in, non-owning, nullptr
-// detaches, and a detached overlay pays one null check with byte-identical
-// output. All state is deterministic: no clocks, no randomness -- the same
+// The Manager owns the whole policy: probe, owner verification, stale
+// eviction, fast-table refresh and jump, learning, and the invalidation
+// rule for membership changes. It attaches per overlay::Overlay instance
+// (AttachCache), same lifecycle as the sim/obs/fault attachments: opt-in,
+// non-owning, nullptr detaches, and a detached overlay pays one null check
+// with byte-identical output. The overlay's measured wrapper calls
+// Consult/Complete around each exact search and BeforeMembership/
+// AfterMembership around each membership operation; a backend only answers
+// the two Backend questions below and makes no cache calls of its own.
+// All state is deterministic: no clocks, no randomness -- the same
 // operation sequence always produces the same hit/evict sequence.
 #ifndef BATON_CACHE_CACHE_H_
 #define BATON_CACHE_CACHE_H_
@@ -71,7 +77,7 @@ struct FastEntry {
 };
 
 /// Monotonic lifetime counters, mirrored into the obs `cache.*` namespace
-/// by the measured wrapper (per-op deltas).
+/// by the measured wrapper (per-op deltas, see kStatMetrics).
 struct Stats {
   uint64_t hits = 0;           // verified route-cache hits
   uint64_t misses = 0;         // consults that found no entry
@@ -83,14 +89,20 @@ struct Stats {
   uint64_t refresh_msgs = 0;   // kCacheRefresh messages those refreshes cost
 };
 
-// Metric names under the `cache.` namespace (obs::Registry).
-inline constexpr char kMetricHits[] = "cache.hit";
-inline constexpr char kMetricMisses[] = "cache.miss";
-inline constexpr char kMetricStale[] = "cache.stale";
-inline constexpr char kMetricEvictions[] = "cache.evict";
-inline constexpr char kMetricInvalidations[] = "cache.invalidate";
-inline constexpr char kMetricFastHits[] = "cache.fast_hit";
-inline constexpr char kMetricRefreshes[] = "cache.refresh";
+/// The obs::Registry counter each Stats field is published as.
+struct StatMetric {
+  const char* name;
+  uint64_t Stats::*field;
+};
+inline constexpr StatMetric kStatMetrics[] = {
+    {"cache.hit", &Stats::hits},
+    {"cache.miss", &Stats::misses},
+    {"cache.stale", &Stats::stale},
+    {"cache.evict", &Stats::evictions},
+    {"cache.invalidate", &Stats::invalidations},
+    {"cache.fast_hit", &Stats::fast_hits},
+    {"cache.refresh", &Stats::refreshes},
+};
 /// Lifetime hit rate in percent: 100 * hits / (hits + misses + stale).
 inline constexpr char kMetricHitRatePct[] = "cache.hit_rate_pct";
 
@@ -103,57 +115,94 @@ inline bool RangeContains(uint64_t lo, uint64_t hi, uint64_t c) {
   return c >= lo || c < hi;
 }
 
+/// The per-backend facts the Manager needs from the overlay it serves.
+/// overlay::Overlay implements this interface; a backend overrides these
+/// two and nothing else (the defaults give a backend that never hits).
+class Backend {
+ public:
+  /// Current ownership interval of `peer` in routing-coordinate space,
+  /// half-open [lo, hi) with RangeContains conventions (Chord wraps).
+  /// Returns false when the peer is not a live member. This is both the
+  /// fact the route cache learns and the owner-side verification of a hit.
+  virtual bool RouteHint(net::PeerId, uint64_t*, uint64_t*) const {
+    return false;
+  }
+  /// Snapshot of the top `levels` tree levels (Chord: a 2^levels-arc finger
+  /// prefix of the ring) as fast-table regions. Deeper entries win lookups.
+  virtual void CollectFastTable(int, std::vector<FastEntry>*) const {}
+
+ protected:
+  ~Backend() = default;
+};
+
+/// The cache's plan for one exact lookup (Manager::Consult).
+struct Route {
+  net::PeerId from = net::kNullPeer;   // query origin
+  uint64_t rk = 0;                     // routing coordinate of the key
+  net::PeerId start = net::kNullPeer;  // peer the protocol search runs from
+  int jump = 0;        // hops the cache adds: 1 after a probe jump, else 0
+  bool hit = false;    // `start` is the verified owner (route-cache hit)
+  bool stale = false;  // a route-cache hit was refuted (its probe wasted)
+  int cost = 0;        // hit only: hops of the lookup the entry came from
+};
+
+/// A departing peer's interval, read before the leave/fail that moves it.
+struct Departure {
+  net::PeerId peer = net::kNullPeer;
+  bool hinted = false;
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+};
+
 /// The caching state for one overlay instance: every member's route cache
 /// plus the shared fast-table snapshot and its version clock.
 class Manager {
  public:
   explicit Manager(const Config& cfg = Config());
 
-  const Config& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
+
+  // ---- Exact lookups -------------------------------------------------------
+  /// Picks where the exact lookup of `rk` from `from` starts, billing its
+  /// messages on `net`. Route cache first: on a hit, one kCacheProbe jumps
+  /// straight at the remembered owner, who answers iff it still owns rk. A
+  /// refuted hit has already paid the probe (honest accounting), evicts
+  /// the entry and falls through. Then the fast-table: a stale mirror is
+  /// refreshed lazily (kCacheRefresh from each live fast-table node), and
+  /// the deepest region containing rk is a one-probe jump. Otherwise the
+  /// search starts at `from`.
+  Route Consult(const Backend& b, net::Network* net, net::PeerId from,
+                uint64_t rk);
+  /// Closes the lookup `r` once the search answered at `owner` (kNullPeer
+  /// on failure) after `hops` hops, jump included: a hit returns the hops
+  /// it saved; any other answer is learned at the origin.
+  int Complete(const Backend& b, const Route& r, net::PeerId owner, int hops);
+
+  // ---- Membership changes --------------------------------------------------
+  /// Reads the interval `leaver` holds before a leave/fail hands it on
+  /// (kNullPeer: a join or repair, nothing departs).
+  Departure BeforeMembership(const Backend& b, net::PeerId leaver) const;
+  /// After a successful membership op: drops the departed peer's interval
+  /// and every route at it, or the routes covering `joiner`'s interval
+  /// (split off an existing member); then outdates the fast-table, which
+  /// every node's mirror refreshes lazily on its next cold lookup.
+  void AfterMembership(const Backend& b, const Departure& d,
+                       net::PeerId joiner);
 
   // ---- Per-node route cache ----------------------------------------------
   /// Consults `node`'s cache for the entry covering `rk`. Returns the entry
-  /// slot (>= 0, for EvictStale) and fills `*out`, or -1 on miss. A found
-  /// entry's recency is bumped; hit/miss/stale accounting is the caller's
-  /// (only the caller knows whether the owner verified the hit).
+  /// slot (>= 0) and fills `*out`, or -1 on miss. A found entry's recency
+  /// is bumped; hit/miss/stale accounting is Consult's.
   int Lookup(net::PeerId node, uint64_t rk, RouteEntry* out);
   /// Records that `owner` answered for the interval [lo, hi) after a lookup
   /// of `cost` hops. Wrapped intervals are split; overlapped older entries
   /// are dropped; the LRU entry is evicted at capacity.
   void Learn(net::PeerId node, uint64_t lo, uint64_t hi, net::PeerId owner,
              int cost);
-  /// Drops the entry at `slot` of `node`'s cache (a refuted hit).
-  void EvictStale(net::PeerId node, int slot);
-  /// Drops every entry (any node's cache) pointing at `owner` -- hook for
-  /// the leave/fail paths, where the departed peer answers nothing.
+  /// Drops every entry (any node's cache) pointing at `owner`.
   void InvalidatePeer(net::PeerId owner);
-  /// Drops every entry intersecting [lo, hi) -- hook for the join/leave/
-  /// restructure paths, where ownership of that interval moved.
+  /// Drops every entry intersecting [lo, hi).
   void InvalidateRange(uint64_t lo, uint64_t hi);
-
-  void NoteHit() { ++stats_.hits; }
-  void NoteMiss() { ++stats_.misses; }
-  void NoteStale() { ++stats_.stale; }
-
-  // ---- Replicated root fast-table ----------------------------------------
-  bool fast_enabled() const { return cfg_.root_levels > 0; }
-  /// A membership change happened: every node's mirror (and the shared
-  /// snapshot) is now out of date and will be refreshed lazily.
-  void BumpVersion() { ++version_; }
-  /// Does `node` need to pull a fresh fast-table before consulting it?
-  bool NeedsRefresh(net::PeerId node) const;
-  /// Must the overlay rebuild the shared snapshot (CollectFastTable) before
-  /// serving refreshes at the current version?
-  bool SnapshotStale() const { return snapshot_version_ != version_; }
-  void InstallSnapshot(std::vector<FastEntry> entries);
-  const std::vector<FastEntry>& fast_entries() const { return fast_; }
-  /// Marks `node`'s mirror current and accounts `billed_msgs` refresh
-  /// messages (the caller bills them on the network).
-  void MarkRefreshed(net::PeerId node, uint64_t billed_msgs);
-  void NoteFastHit() { ++stats_.fast_hits; }
-  /// Deepest fast-table entry containing `rk`, or nullptr.
-  const FastEntry* FastLookup(uint64_t rk) const;
 
   /// Total live route-cache entries across all nodes (tests/benches).
   size_t TotalEntries() const { return total_entries_; }
@@ -174,6 +223,12 @@ class Manager {
   }
   void InsertEntry(NodeCache* nc, uint64_t lo, uint64_t hi,
                    net::PeerId owner, int cost);
+  /// Pulls a current fast-table mirror to `node` if its copy is out of
+  /// date, rebuilding the shared snapshot first when it is.
+  void RefreshFastTable(const Backend& b, net::Network* net,
+                        net::PeerId node);
+  /// Deepest fast-table entry containing `rk`, or nullptr.
+  const FastEntry* FastLookup(uint64_t rk) const;
 
   Config cfg_;
   Stats stats_;

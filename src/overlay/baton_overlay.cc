@@ -95,36 +95,15 @@ void BatonOverlay::DoJoin(PeerId contact, OpStats* st) {
     return;
   }
   st->peer = r.value();
-  // The joiner's range was split off an existing member: routes covering it
-  // now point at the wrong peer.
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  if (route_cache() != nullptr && RouteHint(st->peer, &lo, &hi)) {
-    CacheInvalidateRange(lo, hi);
-  }
 }
 
 void BatonOverlay::DoLeave(PeerId leaver, OpStats* st) {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(leaver, &lo, &hi);
   st->status = baton_->Leave(leaver);
-  if (st->ok()) {
-    if (hinted) CacheInvalidateRange(lo, hi);
-    CacheInvalidatePeer(leaver);
-  }
 }
 
 void BatonOverlay::DoFail(PeerId victim, OpStats* st) {
   (void)st;
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(victim, &lo, &hi);
   baton_->Fail(victim);
-  if (hinted) CacheInvalidateRange(lo, hi);
-  CacheInvalidatePeer(victim);
 }
 
 void BatonOverlay::DoRecoverAllFailures(OpStats* st) {

@@ -83,25 +83,10 @@ void ChordOverlay::DoJoin(PeerId contact, OpStats* st) {
     return;
   }
   st->peer = r.value();
-  // The joiner captured part of its successor's arc: routes covering the
-  // new arc now point at the wrong peer.
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  if (route_cache() != nullptr && RouteHint(st->peer, &lo, &hi)) {
-    CacheInvalidateRange(lo, hi);
-  }
 }
 
 void ChordOverlay::DoLeave(PeerId leaver, OpStats* st) {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(leaver, &lo, &hi);
   st->status = ring_->Leave(leaver);
-  if (st->ok()) {
-    if (hinted) CacheInvalidateRange(lo, hi);
-    CacheInvalidatePeer(leaver);
-  }
 }
 
 void ChordOverlay::DoInsert(PeerId from, Key key, OpStats* st) {

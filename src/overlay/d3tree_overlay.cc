@@ -77,36 +77,15 @@ void D3TreeOverlay::DoJoin(PeerId contact, OpStats* st) {
     return;
   }
   st->peer = r.value();
-  // The joiner's range was carved out of its bucket's partition: routes
-  // covering it now point at the wrong peer.
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  if (route_cache() != nullptr && RouteHint(st->peer, &lo, &hi)) {
-    CacheInvalidateRange(lo, hi);
-  }
 }
 
 void D3TreeOverlay::DoLeave(PeerId leaver, OpStats* st) {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(leaver, &lo, &hi);
   st->status = tree_->Leave(leaver);
-  if (st->ok()) {
-    if (hinted) CacheInvalidateRange(lo, hi);
-    CacheInvalidatePeer(leaver);
-  }
 }
 
 void D3TreeOverlay::DoFail(PeerId victim, OpStats* st) {
   (void)st;
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(victim, &lo, &hi);
   tree_->Fail(victim);
-  if (hinted) CacheInvalidateRange(lo, hi);
-  CacheInvalidatePeer(victim);
 }
 
 void D3TreeOverlay::DoRecoverAllFailures(OpStats* st) {

@@ -79,25 +79,10 @@ void MultiwayOverlay::DoJoin(PeerId contact, OpStats* st) {
     return;
   }
   st->peer = r.value();
-  // The joiner's range was split off an existing member: routes covering it
-  // now point at the wrong peer.
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  if (route_cache() != nullptr && RouteHint(st->peer, &lo, &hi)) {
-    CacheInvalidateRange(lo, hi);
-  }
 }
 
 void MultiwayOverlay::DoLeave(PeerId leaver, OpStats* st) {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(leaver, &lo, &hi);
   st->status = tree_->Leave(leaver);
-  if (st->ok()) {
-    if (hinted) CacheInvalidateRange(lo, hi);
-    CacheInvalidatePeer(leaver);
-  }
 }
 
 void MultiwayOverlay::DoInsert(PeerId from, Key key, OpStats* st) {

@@ -3,19 +3,34 @@
 namespace baton {
 namespace overlay {
 
-/// Runs `fn(origin, &st)` with counter snapshots and a sim measurement
-/// window around it, so st.messages is the exact message cost of the
-/// operation and st.latency_ticks its simulated critical-path time (0 with
-/// no latency model attached), whatever the backend did inside. With an
-/// observer attached the whole operation is additionally bracketed as one
-/// causal span named `op`, and its outcome feeds the per-op metrics. With
-/// a fault plan attached the body runs under the resilience policy
-/// (RunResilient); detached, this is the historical single-attempt wrapper
-/// plus two null checks.
+namespace {
+
+void Bump(obs::Registry& reg, const char* name, uint64_t delta) {
+  if (delta > 0) reg.Counter(name) += delta;
+}
+
+}  // namespace
+
+/// Runs the operation `fn(from, &attempt)` with counter snapshots around
+/// it, so st.messages is the exact message cost of the operation whatever
+/// the backend did inside. With an observer attached the whole operation is
+/// one causal span named `op`, and its outcome feeds the per-op metrics.
+///
+/// One attempt loop serves every operation. Each attempt runs in its own
+/// sim measurement window; attempts repeat until the answer is trustworthy
+/// (no message of the attempt was dropped, and it beat the timeout) or the
+/// retry budget runs out. Mutating operations (`retryable == false`) take
+/// exactly one attempt and report absorbed faults as degraded service --
+/// re-issuing a join or insert could double-apply state, and the protocols
+/// repair damage through their own recovery paths instead. With no fault
+/// plan attached the default policy applies: one attempt that always
+/// stands, so a policy set while detached has no effect.
 template <typename Fn>
 OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
                           Fn&& fn) {
   net::Network* net = network();
+  const fault::Policy detached;
+  const fault::Policy& pol = net->faults() != nullptr ? resilience_ : detached;
   OpStats st;
   net::CounterSnapshot before = net->Snapshot();
   const bool cache_metrics = cache_ != nullptr && obs_ != nullptr;
@@ -23,56 +38,14 @@ OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
   if (cache_metrics) cache_before = cache_->stats();
   if (obs_ != nullptr) obs_->BeginOp(op, net->ObsClock());
   net->FaultOpTick();
-  if (net->faults() == nullptr) {
-    net->BeginOpWindow();
-    fn(origin, &st);
-    st.latency_ticks = net->EndOpWindow();
-  } else {
-    RunResilient(net, origin, retryable, fn, &st);
-  }
-  st.messages = net::Network::Delta(before, net->Snapshot());
-  if (obs_ != nullptr) {
-    obs_->EndOp(op, net->ObsClock(),
-                {st.ok(), st.peer, st.hops, st.messages, st.latency_ticks});
-    if (net->faults() != nullptr) {
-      obs::Registry& reg = obs_->metrics();
-      if (st.dropped_msgs > 0) {
-        reg.Counter(fault::kMetricDrops) += st.dropped_msgs;
-      }
-      if (st.retries > 0) {
-        reg.Counter(fault::kMetricRetries) +=
-            static_cast<uint64_t>(st.retries);
-      }
-      if (st.timeouts > 0) {
-        reg.Counter(fault::kMetricTimeouts) +=
-            static_cast<uint64_t>(st.timeouts);
-      }
-      if (st.gave_up) ++reg.Counter(fault::kMetricGaveUp);
-      if (st.degraded) ++reg.Counter(fault::kMetricDegraded);
-    }
-    if (cache_metrics) PublishCacheMetrics(cache_before);
-  }
-  return st;
-}
-
-/// One resilience-policy run: attempts until the answer is trustworthy
-/// (no message of the attempt was dropped, and it beat the timeout) or the
-/// retry budget runs out. Mutating operations (`retryable == false`) take
-/// exactly one attempt and report absorbed faults as degraded service --
-/// re-issuing a join or insert could double-apply state, and the protocols
-/// repair damage through their own recovery paths instead.
-template <typename Fn>
-void Overlay::RunResilient(net::Network* net, PeerId origin, bool retryable,
-                           Fn&& fn, OpStats* st) {
-  const fault::Policy& pol = resilience_;
   const int attempts = 1 + (retryable ? pol.max_retries : 0);
-  uint64_t total_latency = 0;
   uint64_t dup_msgs = 0;
+  bool accepted = false;
   PeerId from = origin;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < attempts && !accepted; ++attempt) {
     if (attempt > 0) {
-      ++st->retries;
-      total_latency += pol.BackoffFor(attempt);
+      ++st.retries;
+      st.latency_ticks += pol.BackoffFor(attempt);
       if (pol.reroute && origin != kNullPeer) {
         from = RetryOrigin(origin, attempt);
       }
@@ -81,39 +54,65 @@ void Overlay::RunResilient(net::Network* net, PeerId origin, bool retryable,
     net->BeginOpWindow();
     fn(from, &att);
     att.latency_ticks = net->EndOpWindow();
-    total_latency += att.latency_ticks;
+    st.latency_ticks += att.latency_ticks;
     uint64_t drops = net->window_dropped();
     dup_msgs += net->window_duplicated();
-    st->dropped_msgs += drops;
+    st.dropped_msgs += drops;
     // Cache interactions are real (and billed) whether or not the attempt
     // is accepted, so they accumulate across attempts.
-    st->cache_hits += att.cache_hits;
-    st->cache_stale += att.cache_stale;
-    st->hops_saved += att.hops_saved;
+    st.cache_hits += att.cache_hits;
+    st.cache_stale += att.cache_stale;
+    st.hops_saved += att.hops_saved;
     // An attempt that lost any message cannot prove its answer reached
     // anyone (the loss may have been the reply); one that overran the
     // timeout is discarded by the impatient caller. Either way: retry.
     bool lost = retryable && drops > 0;
     bool late = retryable && pol.timeout_ticks > 0 &&
                 att.latency_ticks > pol.timeout_ticks;
-    if (late) ++st->timeouts;
-    if (!lost && !late) {
-      st->status = att.status;
-      st->peer = att.peer;
-      st->found = att.found;
-      st->matches = att.matches;
-      st->nodes = att.nodes;
-      st->hops = att.hops;
-      st->latency_ticks = total_latency;
-      st->degraded = st->retries > 0 || st->dropped_msgs > 0 || dup_msgs > 0;
-      return;
-    }
+    if (late) ++st.timeouts;
+    if (lost || late) continue;
+    accepted = true;
+    st.status = att.status;
+    st.peer = att.peer;
+    st.found = att.found;
+    st.matches = att.matches;
+    st.nodes = att.nodes;
+    st.hops = att.hops;
   }
-  st->gave_up = true;
-  st->degraded = true;
-  st->latency_ticks = total_latency;
-  st->status = Status::Unavailable(
-      "retry budget exhausted under fault injection");
+  if (!accepted) {
+    st.gave_up = true;
+    st.status = Status::Unavailable(
+        "retry budget exhausted under fault injection");
+  }
+  st.degraded =
+      !accepted || st.retries > 0 || st.dropped_msgs > 0 || dup_msgs > 0;
+  st.messages = net::Network::Delta(before, net->Snapshot());
+  if (obs_ != nullptr) {
+    obs_->EndOp(op, net->ObsClock(),
+                {st.ok(), st.peer, st.hops, st.messages, st.latency_ticks});
+    // All zero with no fault plan attached.
+    obs::Registry& reg = obs_->metrics();
+    Bump(reg, fault::kMetricDrops, st.dropped_msgs);
+    Bump(reg, fault::kMetricRetries, static_cast<uint64_t>(st.retries));
+    Bump(reg, fault::kMetricTimeouts, static_cast<uint64_t>(st.timeouts));
+    Bump(reg, fault::kMetricGaveUp, st.gave_up ? 1 : 0);
+    Bump(reg, fault::kMetricDegraded, st.degraded ? 1 : 0);
+    if (cache_metrics) PublishCacheMetrics(cache_before);
+  }
+  return st;
+}
+
+template <typename Fn>
+OpStats Overlay::Membership(const char* op, PeerId contact, PeerId leaver,
+                            Fn&& fn) {
+  return Measured(op, contact, /*retryable=*/false,
+                  [&](PeerId c, OpStats* s) {
+                    if (cache_ == nullptr) return fn(c, s);
+                    const cache::Departure d =
+                        cache_->BeforeMembership(*this, leaver);
+                    fn(c, s);
+                    if (s->ok()) cache_->AfterMembership(*this, d, s->peer);
+                  });
 }
 
 std::string CapabilitiesToString(uint32_t caps) {
@@ -142,33 +141,23 @@ PeerId Overlay::RetryOrigin(PeerId origin, int attempt) const {
 }
 
 OpStats Overlay::Join(PeerId contact) {
-  OpStats st = Measured("join", contact, /*retryable=*/false,
-                        [&](PeerId c, OpStats* s) { DoJoin(c, s); });
-  // Any membership change outdates the replicated fast-table; every node's
-  // mirror refreshes lazily on its next cold lookup.
-  if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
-  return st;
+  return Membership("join", contact, kNullPeer,
+                    [&](PeerId c, OpStats* s) { DoJoin(c, s); });
 }
 
 OpStats Overlay::Leave(PeerId leaver) {
-  OpStats st = Measured("leave", kNullPeer, /*retryable=*/false,
-                        [&](PeerId, OpStats* s) { DoLeave(leaver, s); });
-  if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
-  return st;
+  return Membership("leave", kNullPeer, leaver,
+                    [&](PeerId, OpStats* s) { DoLeave(leaver, s); });
 }
 
 OpStats Overlay::Fail(PeerId victim) {
-  OpStats st = Measured("fail", kNullPeer, /*retryable=*/false,
-                        [&](PeerId, OpStats* s) { DoFail(victim, s); });
-  if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
-  return st;
+  return Membership("fail", kNullPeer, victim,
+                    [&](PeerId, OpStats* s) { DoFail(victim, s); });
 }
 
 OpStats Overlay::RecoverAllFailures() {
-  OpStats st = Measured("recover", kNullPeer, /*retryable=*/false,
-                        [&](PeerId, OpStats* s) { DoRecoverAllFailures(s); });
-  if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
-  return st;
+  return Membership("recover", kNullPeer, kNullPeer,
+                    [&](PeerId, OpStats* s) { DoRecoverAllFailures(s); });
 }
 
 OpStats Overlay::Insert(PeerId from, Key key) {
@@ -211,126 +200,26 @@ Status Overlay::Unsupported(const char* op) const {
   return Status::FailedPrecondition(name() + " does not support " + op);
 }
 
-uint64_t Overlay::RouteCoordOf(Key key) const {
-  return static_cast<uint64_t>(key);
-}
-
-bool Overlay::RouteHint(PeerId peer, uint64_t* lo, uint64_t* hi) const {
-  (void)peer;
-  (void)lo;
-  (void)hi;
-  return false;
-}
-
-void Overlay::CollectFastTable(int levels,
-                               std::vector<cache::FastEntry>* out) const {
-  (void)levels;
-  (void)out;
-}
-
-bool Overlay::CacheLocalAnswer(PeerId owner, Key key, OpStats* st) {
-  (void)owner;
-  (void)key;
-  (void)st;
-  return false;
-}
-
-void Overlay::CacheInvalidatePeer(PeerId owner) {
-  if (cache_ != nullptr) cache_->InvalidatePeer(owner);
-}
-
-void Overlay::CacheInvalidateRange(uint64_t lo, uint64_t hi) {
-  if (cache_ != nullptr) cache_->InvalidateRange(lo, hi);
-}
-
 void Overlay::CacheAwareExact(PeerId from, Key key, OpStats* st) {
-  cache::Manager* c = cache_;
-  if (c == nullptr) {
-    DoExactSearch(from, key, st);
-    return;
+  if (cache_ == nullptr) return DoExactSearch(from, key, st);
+  const cache::Route r =
+      cache_->Consult(*this, network(), from, RouteCoordOf(key));
+  if (!r.hit || !CacheLocalAnswer(r.start, key, st)) {
+    DoExactSearch(r.start, key, st);
   }
-  net::Network* net = network();
-  const uint64_t rk = RouteCoordOf(key);
-  // Route cache first: on a hit, one probe message jumps straight at the
-  // remembered owner, who answers iff it still owns rk. A refuted hit has
-  // already paid the probe (honest accounting), evicts the entry, and runs
-  // the normal walk below.
-  cache::RouteEntry hint;
-  int slot = c->Lookup(from, rk, &hint);
-  if (slot >= 0 && hint.owner != from) {
-    net->Count(from, hint.owner, net::MsgType::kCacheProbe);
-    uint64_t lo = 0;
-    uint64_t hi = 0;
-    if (net->IsAlive(hint.owner) && RouteHint(hint.owner, &lo, &hi) &&
-        cache::RangeContains(lo, hi, rk)) {
-      if (!CacheLocalAnswer(hint.owner, key, st)) {
-        DoExactSearch(hint.owner, key, st);
-      }
-      st->hops += 1;  // the verified jump
-      st->cache_hits += 1;
-      if (hint.cost > st->hops) st->hops_saved += hint.cost - st->hops;
-      c->NoteHit();
-      return;
-    }
-    c->EvictStale(from, slot);
-    st->cache_stale += 1;
-  } else if (slot < 0) {
-    c->NoteMiss();
-  }
-  PeerId start = from;
-  int jump = 0;
-  if (c->fast_enabled()) {
-    if (c->NeedsRefresh(from)) {
-      if (c->SnapshotStale()) {
-        std::vector<cache::FastEntry> snap;
-        CollectFastTable(c->config().root_levels, &snap);
-        c->InstallSnapshot(std::move(snap));
-      }
-      // Lazy refresh: each live fast-table node ships its region to the
-      // consulting node, billed as maintenance traffic inside this op.
-      uint64_t billed = 0;
-      for (const cache::FastEntry& fe : c->fast_entries()) {
-        if (fe.peer == from || !net->IsAlive(fe.peer)) continue;
-        net->Count(fe.peer, from, net::MsgType::kCacheRefresh);
-        ++billed;
-      }
-      c->MarkRefreshed(from, billed);
-    }
-    const cache::FastEntry* fe = c->FastLookup(rk);
-    if (fe != nullptr && fe->peer != from && net->IsAlive(fe->peer)) {
-      net->Count(from, fe->peer, net::MsgType::kCacheProbe);
-      start = fe->peer;
-      jump = 1;
-      c->NoteFastHit();
-    }
-  }
-  DoExactSearch(start, key, st);
-  st->hops += jump;
-  // Learn the completed route at the origin: the owner's current interval
-  // is the fact a later lookup can jump on. Zero-hop answers (the origin
-  // already owned the key) teach nothing a jump could improve.
-  if (st->ok() && st->peer != kNullPeer && st->peer != from) {
-    uint64_t lo = 0;
-    uint64_t hi = 0;
-    if (RouteHint(st->peer, &lo, &hi) && cache::RangeContains(lo, hi, rk)) {
-      c->Learn(from, lo, hi, st->peer, st->hops);
-    }
-  }
+  st->hops += r.jump;
+  st->cache_hits += r.hit ? 1 : 0;
+  st->cache_stale += r.stale ? 1 : 0;
+  st->hops_saved +=
+      cache_->Complete(*this, r, st->ok() ? st->peer : kNullPeer, st->hops);
 }
 
 void Overlay::PublishCacheMetrics(const cache::Stats& before) {
   const cache::Stats& now = cache_->stats();
   obs::Registry& reg = obs_->metrics();
-  const auto bump = [&reg](const char* name, uint64_t delta) {
-    if (delta > 0) reg.Counter(name) += delta;
-  };
-  bump(cache::kMetricHits, now.hits - before.hits);
-  bump(cache::kMetricMisses, now.misses - before.misses);
-  bump(cache::kMetricStale, now.stale - before.stale);
-  bump(cache::kMetricEvictions, now.evictions - before.evictions);
-  bump(cache::kMetricInvalidations, now.invalidations - before.invalidations);
-  bump(cache::kMetricFastHits, now.fast_hits - before.fast_hits);
-  bump(cache::kMetricRefreshes, now.refreshes - before.refreshes);
+  for (const cache::StatMetric& m : cache::kStatMetrics) {
+    Bump(reg, m.name, now.*m.field - before.*m.field);
+  }
   const uint64_t consults = now.hits + now.misses + now.stale;
   if (consults > 0) {
     reg.Gauge(cache::kMetricHitRatePct) =

@@ -13,6 +13,14 @@
 // Backends register themselves by name in overlay/registry.h; construct one
 // with overlay::Make("baton", cfg) and drive it generically, e.g. through
 // workload::Replay.
+//
+// The base class only measures: every public operation runs through one
+// attempt loop (Measured) that snapshots counters, opens the sim window and
+// obs span, and applies the resilience policy. Cache policy lives in
+// cache::Manager; the wrapper calls it around exact searches and applies
+// its invalidation rule inside every membership operation, so a backend
+// implements only the cache::Backend facts (RouteHint, CollectFastTable)
+// and optionally CacheLocalAnswer, and makes no cache calls itself.
 #ifndef BATON_OVERLAY_OVERLAY_H_
 #define BATON_OVERLAY_OVERLAY_H_
 
@@ -109,7 +117,7 @@ struct [[nodiscard]] OpStats {
 /// Abstract overlay backend. Public operations are non-virtual wrappers
 /// that snapshot the network counters around the protected Do* hooks, so
 /// OpStats::messages is identical across backends by construction.
-class Overlay {
+class Overlay : public cache::Backend {
  public:
   virtual ~Overlay() = default;
   Overlay(const Overlay&) = delete;
@@ -155,12 +163,13 @@ class Overlay {
   /// Attaches a fault-injection plan to the backend's network (same
   /// lifecycle contract as the sim and obs attachments: per instance,
   /// opt-in, non-owning, nullptr detaches). While attached, the measured
-  /// wrapper runs read operations under the resilience() policy -- per-
-  /// attempt loss/timeout detection, bounded retry with deterministic
-  /// backoff, RetryOrigin rerouting -- and fills the OpStats resilience
-  /// fields; with an observer also attached, fault.* metrics accumulate in
-  /// its registry. Detached (the default) every hot path pays one null
-  /// check and output is byte-identical to a fault-free build.
+  /// wrapper's attempt loop runs read operations under the resilience()
+  /// policy -- per-attempt loss/timeout detection, bounded retry with
+  /// deterministic backoff, RetryOrigin rerouting -- and fills the OpStats
+  /// resilience fields; with an observer also attached, fault.* metrics
+  /// accumulate in its registry. Detached (the default) the loop runs the
+  /// default fault::Policy -- one attempt that always stands -- and output
+  /// is byte-identical to a fault-free build.
   void AttachFaults(net::FaultInjector* f) { network()->AttachFaults(f); }
 
   /// Attaches the hot-path caching manager (same lifecycle contract as the
@@ -171,7 +180,6 @@ class Overlay {
   /// (see src/cache/cache.h). Detached (the default) every operation pays
   /// one null check and all output is byte-identical to a cache-free build.
   void AttachCache(cache::Manager* c) { cache_ = c; }
-  cache::Manager* route_cache() const { return cache_; }
 
   /// Resilience budget applied while a fault plan is attached. The default
   /// policy (no retries, no timeout) makes every message loss in a read
@@ -187,26 +195,20 @@ class Overlay {
   virtual PeerId RetryOrigin(PeerId origin, int attempt) const;
 
   // ---- Cache support surface (per-backend). --------------------------------
+  // Besides the cache::Backend facts (RouteHint, CollectFastTable):
   /// Routing coordinate of `key`: the space cache intervals live in. Tree
   /// backends route on the key itself (the default); Chord overrides this
   /// with HashKey, because its ownership intervals exist in hash space.
-  virtual uint64_t RouteCoordOf(Key key) const;
-  /// Current ownership interval of `peer` in routing-coordinate space,
-  /// half-open [lo, hi) with cache::RangeContains conventions (Chord wraps).
-  /// Returns false when the peer is not a live member. This is both the
-  /// fact the route cache learns and the owner-side verification of a hit.
-  virtual bool RouteHint(PeerId peer, uint64_t* lo, uint64_t* hi) const;
-  /// Snapshot of the top `levels` tree levels (Chord: a 2^levels-arc finger
-  /// prefix of the ring) as fast-table regions. Deeper entries win lookups.
-  virtual void CollectFastTable(int levels,
-                                std::vector<cache::FastEntry>* out) const;
+  virtual uint64_t RouteCoordOf(Key key) const {
+    return static_cast<uint64_t>(key);
+  }
   /// Answers `key` directly at `owner` -- already verified (RouteHint) to
   /// own the key's routing coordinate -- filling st->peer/st->found and
   /// returning true. The base returns false: the wrapper then runs a
   /// protocol search from `owner`, which tree backends resolve in zero
   /// hops. Chord overrides this because its successor walk from the owner
   /// would circle the ring to rediscover what the probe just verified.
-  virtual bool CacheLocalAnswer(PeerId owner, Key key, OpStats* st);
+  virtual bool CacheLocalAnswer(PeerId, Key, OpStats*) { return false; }
 
   // ---- Membership ----------------------------------------------------------
   /// Creates the first node. Must be called exactly once, before any Join.
@@ -258,29 +260,22 @@ class Overlay {
   /// of via capabilities().
   Status Unsupported(const char* op) const;
 
-  // Invalidation hooks for the backends' membership paths: a leave/fail
-  // drops every route pointing at the departed peer; a join/leave/
-  // restructure that moved ownership of an interval drops the routes
-  // covering it. No-ops when no cache is attached.
-  void CacheInvalidatePeer(PeerId owner);
-  void CacheInvalidateRange(uint64_t lo, uint64_t hi);
-
  private:
-  /// The measured wrapper: counter snapshots, sim window, obs span, fault
-  /// op tick, and -- with a fault plan attached -- the resilience loop.
+  /// The measured wrapper: counter snapshots, fault op tick, obs span, and
+  /// the attempt loop (sim window per attempt, resilience policy).
   /// `retryable` marks read operations (safe to re-issue); `origin` is the
   /// peer the operation starts from (kNullPeer for membership repair ops
   /// with no caller-chosen origin).
   template <typename Fn>
   OpStats Measured(const char* op, PeerId origin, bool retryable, Fn&& fn);
-  /// The fault-path body of Measured: one attempt per loop iteration.
+  /// Measured for membership operations: applies the cache's invalidation
+  /// rule inside the measured span, reading the interval of `leaver`
+  /// (kNullPeer for join/repair) before the protocol op runs.
   template <typename Fn>
-  void RunResilient(net::Network* net, PeerId origin, bool retryable,
-                    Fn&& fn, OpStats* st);
-  /// The cache-aware exact-search body: consult the origin's route cache
-  /// (verified jump / stale fallback), then the fast-table (lazy refresh +
-  /// cold jump), then the protocol walk; learn the completed route. With no
-  /// cache attached this is exactly DoExactSearch.
+  OpStats Membership(const char* op, PeerId contact, PeerId leaver, Fn&& fn);
+  /// The exact-search body: the search runs from the peer the cache picks
+  /// (cache::Manager::Consult). With no cache attached this is exactly
+  /// DoExactSearch.
   void CacheAwareExact(PeerId from, Key key, OpStats* st);
   /// Mirrors the per-op cache Stats delta into the observer's `cache.*`
   /// metrics and refreshes the hit-rate gauge.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "obs/observer.h"
 #include "overlay/baton_overlay.h"
 #include "overlay/chord_overlay.h"
 #include "overlay/registry.h"
@@ -285,6 +286,79 @@ TEST(CacheOverlay, DetachedIsByteIdentical) {
       return out;
     };
     EXPECT_EQ(trace(false), trace(true));
+  }
+}
+
+// The measured wrapper mirrors every cache::Stats movement into the
+// observer's cache.* counters as per-op deltas, so over a run the counters
+// equal the Manager's lifetime stats exactly. Cache work done outside an
+// operation's measured span -- say, a membership invalidation run after the
+// span closed -- would be missing from the counters.
+TEST(CacheOverlay, PublishedMetricsMatchManagerStats) {
+  for (const std::string& name : overlay::RegisteredNames()) {
+    SCOPED_TRACE(name);
+    Config cfg;
+    cfg.seed = 43;
+    std::unique_ptr<Overlay> ov = Make(name, cfg);
+    ASSERT_NE(ov, nullptr);
+    cache::Config cc;
+    cc.capacity = 8;  // small enough that learning evicts
+    cache::Manager mgr(cc);
+    obs::Observer obs;
+    ov->AttachCache(&mgr);
+    ov->AttachObserver(&obs);
+    std::vector<net::PeerId> members = {ov->Bootstrap()};
+    const std::vector<Key> keys = SomeKeys(43, 40);
+    Rng rng(Mix64(43 ^ 0x5eed));
+    const auto pick = [&] { return members[rng.NextBelow(members.size())]; };
+    const auto lookups = [&](int n) {
+      for (int i = 0; i < n; ++i) {
+        OpStats st = ov->ExactSearch(pick(), keys[rng.NextBelow(keys.size())]);
+        EXPECT_TRUE(st.ok()) << st.status.ToString();
+      }
+    };
+    const auto join = [&] {
+      OpStats st = ov->Join(pick());
+      ASSERT_TRUE(st.ok()) << st.status.ToString();
+      members = ov->Members();
+    };
+    for (int i = 0; i < 47; ++i) join();
+    lookups(300);
+    for (int round = 0; round < 6; ++round) {
+      ASSERT_TRUE(ov->Leave(pick()).ok());
+      members = ov->Members();
+      join();
+      lookups(50);
+      if (ov->Supports(Capability::kFailRecovery)) {
+        ASSERT_TRUE(ov->Fail(pick()).ok());
+        ASSERT_TRUE(ov->RecoverAllFailures().ok());
+        members = ov->Members();
+        lookups(50);
+      }
+    }
+    ov->AttachObserver(nullptr);
+    ov->AttachCache(nullptr);
+
+    const cache::Stats& s = mgr.stats();
+    const obs::Registry& reg = obs.metrics();
+    EXPECT_EQ(reg.CounterValue("cache.hit"), s.hits);
+    EXPECT_EQ(reg.CounterValue("cache.miss"), s.misses);
+    EXPECT_EQ(reg.CounterValue("cache.stale"), s.stale);
+    EXPECT_EQ(reg.CounterValue("cache.evict"), s.evictions);
+    EXPECT_EQ(reg.CounterValue("cache.invalidate"), s.invalidations);
+    EXPECT_EQ(reg.CounterValue("cache.fast_hit"), s.fast_hits);
+    EXPECT_EQ(reg.CounterValue("cache.refresh"), s.refreshes);
+    const uint64_t consults = s.hits + s.misses + s.stale;
+    ASSERT_GT(consults, 0u);
+    EXPECT_EQ(reg.GaugeValue("cache.hit_rate_pct"),
+              static_cast<int64_t>(100 * s.hits / consults));
+    // Every path the run drives must have moved its counter.
+    EXPECT_GT(s.hits, 0u);
+    EXPECT_GT(s.misses, 0u);
+    EXPECT_GT(s.evictions, 0u);
+    EXPECT_GT(s.invalidations, 0u);
+    EXPECT_GT(s.fast_hits, 0u);
+    EXPECT_GT(s.refreshes, 0u);
   }
 }
 
