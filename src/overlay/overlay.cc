@@ -9,22 +9,34 @@ void Bump(obs::Registry& reg, const char* name, uint64_t delta) {
   if (delta > 0) reg.Counter(name) += delta;
 }
 
+/// Clears the answer fields an attempt fills, so a discarded attempt leaves
+/// nothing behind for the next one (or for a gave-up op) to report.
+void ResetAnswer(OpStats* st) {
+  st->status = Status::OK();
+  st->peer = kNullPeer;
+  st->found = false;
+  st->matches = 0;
+  st->nodes = 0;
+  st->hops = 0;
+}
+
 }  // namespace
 
-/// Runs the operation `fn(from, &attempt)` with counter snapshots around
-/// it, so st.messages is the exact message cost of the operation whatever
-/// the backend did inside. With an observer attached the whole operation is
+/// Runs the operation `fn(from, &st)` with counter snapshots around it, so
+/// st.messages is the exact message cost of the operation whatever the
+/// backend did inside. With an observer attached the whole operation is
 /// one causal span named `op`, and its outcome feeds the per-op metrics.
 ///
 /// One attempt loop serves every operation. Each attempt runs in its own
-/// sim measurement window; attempts repeat until the answer is trustworthy
-/// (no message of the attempt was dropped, and it beat the timeout) or the
-/// retry budget runs out. Mutating operations (`retryable == false`) take
-/// exactly one attempt and report absorbed faults as degraded service --
-/// re-issuing a join or insert could double-apply state, and the protocols
-/// repair damage through their own recovery paths instead. With no fault
-/// plan attached the default policy applies: one attempt that always
-/// stands, so a policy set while detached has no effect.
+/// sim measurement window and writes its answer straight into `st`;
+/// attempts repeat until the answer is trustworthy (no message of the
+/// attempt was dropped, and it beat the timeout) or the retry budget runs
+/// out. Mutating operations (`retryable == false`) take exactly one attempt
+/// and report absorbed faults as degraded service -- re-issuing a join or
+/// insert could double-apply state, and the protocols repair damage through
+/// their own recovery paths instead. With no fault plan attached the
+/// default policy applies: one attempt that always stands, so a policy set
+/// while detached has no effect.
 template <typename Fn>
 OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
                           Fn&& fn) {
@@ -44,42 +56,32 @@ OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
   PeerId from = origin;
   for (int attempt = 0; attempt < attempts && !accepted; ++attempt) {
     if (attempt > 0) {
+      ResetAnswer(&st);
       ++st.retries;
       st.latency_ticks += pol.BackoffFor(attempt);
       if (pol.reroute && origin != kNullPeer) {
         from = RetryOrigin(origin, attempt);
       }
     }
-    OpStats att;
+    // Cache interactions are real (and billed) whether or not the attempt
+    // is accepted: fn adds them to st, so they accumulate across attempts.
     net->BeginOpWindow();
-    fn(from, &att);
-    att.latency_ticks = net->EndOpWindow();
-    st.latency_ticks += att.latency_ticks;
+    fn(from, &st);
+    const sim::Time ticks = net->EndOpWindow();
+    st.latency_ticks += ticks;
     uint64_t drops = net->window_dropped();
     dup_msgs += net->window_duplicated();
     st.dropped_msgs += drops;
-    // Cache interactions are real (and billed) whether or not the attempt
-    // is accepted, so they accumulate across attempts.
-    st.cache_hits += att.cache_hits;
-    st.cache_stale += att.cache_stale;
-    st.hops_saved += att.hops_saved;
     // An attempt that lost any message cannot prove its answer reached
     // anyone (the loss may have been the reply); one that overran the
     // timeout is discarded by the impatient caller. Either way: retry.
     bool lost = retryable && drops > 0;
-    bool late = retryable && pol.timeout_ticks > 0 &&
-                att.latency_ticks > pol.timeout_ticks;
+    bool late = retryable && pol.timeout_ticks > 0 && ticks > pol.timeout_ticks;
     if (late) ++st.timeouts;
-    if (lost || late) continue;
-    accepted = true;
-    st.status = att.status;
-    st.peer = att.peer;
-    st.found = att.found;
-    st.matches = att.matches;
-    st.nodes = att.nodes;
-    st.hops = att.hops;
+    accepted = !lost && !late;
   }
   if (!accepted) {
+    ResetAnswer(&st);
     st.gave_up = true;
     st.status = Status::Unavailable(
         "retry budget exhausted under fault injection");
