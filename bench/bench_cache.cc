@@ -18,7 +18,7 @@
 // join/leave/query sequence; hit rate vs the stale-probe repair rate as
 // invalidation and verify-on-hit clean up behind churn) and a fault
 // composition cell (drops on query-category messages hit kCacheProbe too:
-// a cached jump into a lossy link retries under the PR-9 fault::Policy
+// a cached jump into a lossy link retries under the fault::Policy
 // exactly like a protocol walk, so ok% holds while retries absorb the
 // loss).
 //
@@ -39,12 +39,11 @@
 #include "bench_common/experiment.h"
 #include "cache/cache.h"
 #include "fault/fault.h"
+#include "workload/replay.h"
 
 namespace baton {
 namespace bench {
 namespace {
-
-constexpr Key kDomainHi = 1000000000;
 
 /// Route-cache capacities swept by the capacity table (zipf:0.9).
 const size_t kCapacities[] = {16, 64, 256, 1024};
@@ -53,38 +52,17 @@ const size_t kCapacities[] = {16, 64, 256, 1024};
 /// `rate` queries.
 const int kChurnRates[] = {16, 4};
 
-/// One trace replay's outcomes, mergeable across seeds.
+/// One trace replay's outcomes, mergeable across seeds: the per-op
+/// aggregate plus the manager's deltas over the replay.
 struct PassOutcome {
-  uint64_t ops = 0;
-  uint64_t ok = 0;
-  uint64_t hops = 0;
-  uint64_t messages = 0;
-  uint64_t latency = 0;
-  uint64_t cache_hits = 0;   // verified route-cache hits (OpStats)
-  uint64_t cache_stale = 0;  // refuted probes (OpStats)
-  uint64_t hops_saved = 0;
-  uint64_t fast_hits = 0;    // manager delta: fast-table jumps
-  uint64_t misses = 0;       // manager delta: consults with no entry
-  uint64_t evictions = 0;    // manager delta: capacity + stale evictions
-  uint64_t retries = 0;      // fault cells only
-  uint64_t dropped = 0;
-  uint64_t gave_up = 0;
+  workload::OpAggregate agg;
+  uint64_t misses = 0;     // manager delta: consults with no entry
+  uint64_t evictions = 0;  // manager delta: capacity + stale evictions
 
   void Merge(const PassOutcome& o) {
-    ops += o.ops;
-    ok += o.ok;
-    hops += o.hops;
-    messages += o.messages;
-    latency += o.latency;
-    cache_hits += o.cache_hits;
-    cache_stale += o.cache_stale;
-    hops_saved += o.hops_saved;
-    fast_hits += o.fast_hits;
+    agg.Merge(o.agg);
     misses += o.misses;
     evictions += o.evictions;
-    retries += o.retries;
-    dropped += o.dropped;
-    gave_up += o.gave_up;
   }
 };
 
@@ -105,21 +83,10 @@ struct DistOutcome {
   }
 };
 
-/// Churn cell: replay outcomes of the cached twin plus the join/leave bill.
-struct ChurnOutcome {
-  PassOutcome cached;
-  uint64_t churn_pairs = 0;
-
-  void Merge(const ChurnOutcome& o) {
-    cached.Merge(o.cached);
-    churn_pairs += o.churn_pairs;
-  }
-};
-
 struct SeedResult {
   std::vector<DistOutcome> dists;        // [key-dist]
   std::vector<PassOutcome> capacities;   // [capacity], warm pass only
-  std::vector<ChurnOutcome> churn;       // [churn rate]
+  std::vector<PassOutcome> churn;        // [churn rate], cached twin
   PassOutcome fault_uncached;            // drops attached, cache detached
   PassOutcome fault_warm;                // drops attached, warm cache
 };
@@ -140,63 +107,41 @@ std::vector<KeyDistSpec> DistLadder(const Options& opt) {
   return out;
 }
 
-/// Builds one preloaded instance, the bench_faults way: order-preserving
-/// backends preload during growth, the rest bulk-load afterwards.
-Instance BuildLoaded(const std::string& name, size_t n, uint64_t seed,
-                     const Options& opt) {
-  workload::UniformKeys preload(1, kDomainHi);
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &preload);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &preload, &load_rng);
-  }
-  AttachLatency(&inst, opt.latency, seed);
-  return inst;
-}
-
 /// One exact-search trace: `queries` keys from `spec`, seeded off the task
 /// seed so every cell of a task replays the identical keys.
-std::vector<Key> MakeTrace(const KeyDistSpec& spec, int queries,
-                           uint64_t seed) {
+workload::Trace MakeTrace(const KeyDistSpec& spec, int queries,
+                          uint64_t seed) {
   std::unique_ptr<workload::KeyGenerator> gen =
       MakeKeyGenerator(spec, 1, kDomainHi);
   Rng krng(Mix64(seed ^ 0x7a3e));
-  std::vector<Key> keys;
-  keys.reserve(static_cast<size_t>(queries));
-  for (int q = 0; q < queries; ++q) keys.push_back(gen->Next(&krng));
-  return keys;
+  workload::Trace trace;
+  trace.reserve(static_cast<size_t>(queries));
+  for (int q = 0; q < queries; ++q) {
+    trace.push_back({workload::OpType::kExact, gen->Next(&krng), 0});
+  }
+  return trace;
 }
 
-/// Replays `keys` from origins drawn with a fresh rng stream (identical
+/// Replays `trace` from origins drawn with a fresh rng stream (identical
 /// across passes); `mgr` non-null snapshots its stats around the pass.
 /// Fills `*answers` when non-null, checks against `*expect` when non-null.
 /// `origin_pool` > 0 restricts origins to the first that-many members --
 /// the capacity sweep uses it to put real pressure on small route caches.
-PassOutcome Replay(Instance* inst, const std::vector<Key>& keys,
-                   uint64_t seed, const cache::Manager* mgr,
-                   Answers* answers, const Answers* expect,
-                   size_t origin_pool = 0) {
+PassOutcome Pass(Instance* inst, const workload::Trace& trace, uint64_t seed,
+                 const cache::Manager* mgr, Answers* answers,
+                 const Answers* expect, size_t origin_pool = 0) {
   PassOutcome out;
   cache::Stats before;
   if (mgr != nullptr) before = mgr->stats();
-  size_t pool = inst->members.size();
-  if (origin_pool > 0 && origin_pool < pool) pool = origin_pool;
+  std::vector<net::PeerId> origins = inst->members;
+  if (origin_pool > 0 && origin_pool < origins.size()) {
+    origins.resize(origin_pool);
+  }
   Rng org(Mix64(seed ^ 0x0b51));
-  for (size_t q = 0; q < keys.size(); ++q) {
-    net::PeerId from = inst->members[org.NextBelow(pool)];
-    overlay::OpStats st = inst->overlay->ExactSearch(from, keys[q]);
-    ++out.ops;
-    if (st.ok()) ++out.ok;
-    out.hops += static_cast<uint64_t>(st.hops > 0 ? st.hops : 0);
-    out.messages += st.messages;
-    out.latency += st.latency_ticks;
-    out.cache_hits += static_cast<uint64_t>(st.cache_hits);
-    out.cache_stale += static_cast<uint64_t>(st.cache_stale);
-    out.hops_saved += static_cast<uint64_t>(st.hops_saved);
+  for (size_t q = 0; q < trace.size(); ++q) {
+    const overlay::OpStats st =
+        workload::ApplyOp(*inst->overlay, trace[q], &org, &origins, {}).stats;
+    out.agg.Accumulate(st);
     if (answers != nullptr) answers->emplace_back(st.peer, st.found);
     if (expect != nullptr) {
       BATON_CHECK(st.peer == (*expect)[q].first &&
@@ -207,7 +152,6 @@ PassOutcome Replay(Instance* inst, const std::vector<Key>& keys,
   }
   if (mgr != nullptr) {
     const cache::Stats& after = mgr->stats();
-    out.fast_hits = after.fast_hits - before.fast_hits;
     out.misses = after.misses - before.misses;
     out.evictions = after.evictions - before.evictions;
   }
@@ -228,15 +172,15 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
   // ---- Table 1: hop reduction vs key skew --------------------------------
   const std::vector<KeyDistSpec> dists = DistLadder(opt);
   for (const KeyDistSpec& spec : dists) {
-    std::vector<Key> keys = MakeTrace(spec, opt.queries, seed);
+    workload::Trace trace = MakeTrace(spec, opt.queries, seed);
     DistOutcome cell;
     Answers reference;
     ov->AttachCache(nullptr);
-    cell.uncached = Replay(&inst, keys, seed, nullptr, &reference, nullptr);
+    cell.uncached = Pass(&inst, trace, seed, nullptr, &reference, nullptr);
     cache::Manager mgr(ccfg);
     ov->AttachCache(&mgr);
-    cell.cold = Replay(&inst, keys, seed, &mgr, nullptr, &reference);
-    cell.warm = Replay(&inst, keys, seed, &mgr, nullptr, &reference);
+    cell.cold = Pass(&inst, trace, seed, &mgr, nullptr, &reference);
+    cell.warm = Pass(&inst, trace, seed, &mgr, nullptr, &reference);
     ov->AttachCache(nullptr);
     out.dists.push_back(cell);
   }
@@ -245,8 +189,8 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
   KeyDistSpec hot;
   hot.kind = KeyDistSpec::Kind::kZipf;
   hot.theta = 0.9;
+  const workload::Trace hot_trace = MakeTrace(hot, opt.queries, seed);
   {
-    std::vector<Key> keys = MakeTrace(hot, opt.queries, seed);
     // A few origins issue every query, so distinct-owner demand per origin
     // exceeds the small capacities and the LRU bound actually bites.
     const size_t kPool = 8;
@@ -255,9 +199,9 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
       c.capacity = cap;
       cache::Manager mgr(c);
       ov->AttachCache(&mgr);
-      Replay(&inst, keys, seed, &mgr, nullptr, nullptr, kPool);  // populate
+      Pass(&inst, hot_trace, seed, &mgr, nullptr, nullptr, kPool);  // populate
       out.capacities.push_back(
-          Replay(&inst, keys, seed, &mgr, nullptr, nullptr, kPool));
+          Pass(&inst, hot_trace, seed, &mgr, nullptr, nullptr, kPool));
       ov->AttachCache(nullptr);
     }
   }
@@ -266,44 +210,29 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
   // (Runs before the churn table so it sees the pristine membership; the
   // churn cells below build their own instances.)
   {
-    std::vector<Key> keys = MakeTrace(hot, opt.queries, seed);
     fault::Policy pol;
     pol.max_retries = 3;
     pol.timeout_ticks = opt.timeout_ticks;
     pol.backoff_ticks = 4;
     fault::LinkFaults lf;
     lf.drop = 0.05;
-    auto run_faulted = [&](PassOutcome* dst) {
+    auto run_faulted = [&](const cache::Manager* mgr) {
       fault::PlanConfig pcfg;
       pcfg.seed = Mix64(seed ^ 0xfa11);
       fault::Plan plan(pcfg);
       plan.SetCategoryFaults(net::MsgCategory::kQuery, lf);
       ov->SetResilience(pol);
       ov->AttachFaults(&plan);
-      Rng org(Mix64(seed ^ 0x0b51));
-      for (Key key : keys) {
-        net::PeerId from =
-            inst.members[org.NextBelow(inst.members.size())];
-        overlay::OpStats st = ov->ExactSearch(from, key);
-        ++dst->ops;
-        if (st.ok()) ++dst->ok;
-        dst->messages += st.messages;
-        dst->cache_hits += static_cast<uint64_t>(st.cache_hits);
-        dst->cache_stale += static_cast<uint64_t>(st.cache_stale);
-        dst->retries += static_cast<uint64_t>(st.retries > 0 ? st.retries : 0);
-        dst->dropped += st.dropped_msgs;
-        if (st.gave_up) ++dst->gave_up;
-      }
+      PassOutcome p = Pass(&inst, hot_trace, seed, mgr, nullptr, nullptr);
       ov->AttachFaults(nullptr);
       ov->SetResilience(fault::Policy{});
+      return p;
     };
-    run_faulted(&out.fault_uncached);
+    out.fault_uncached = run_faulted(nullptr);
     cache::Manager mgr(ccfg);
     ov->AttachCache(&mgr);
-    Replay(&inst, keys, seed, &mgr, nullptr, nullptr);  // warm it first
-    cache::Stats fb = mgr.stats();
-    run_faulted(&out.fault_warm);
-    out.fault_warm.misses = mgr.stats().misses - fb.misses;
+    Pass(&inst, hot_trace, seed, &mgr, nullptr, nullptr);  // warm it first
+    out.fault_warm = run_faulted(&mgr);
     ov->AttachCache(nullptr);
   }
 
@@ -312,21 +241,19 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
   // stream, so they stay in lockstep; only the cache differs, and its
   // answers are checked op-by-op against the uncached twin's.
   for (int rate : kChurnRates) {
-    KeyDistSpec spec = hot;
-    std::vector<Key> keys = MakeTrace(spec, opt.queries, seed);
     Instance plain = BuildLoaded(name, n, seed, opt);
     Instance cached = BuildLoaded(name, n, seed, opt);
     cache::Manager mgr(ccfg);
     cached.overlay->AttachCache(&mgr);
     // One warm pass before churn starts, so the sweep measures how churn
     // degrades an established cache rather than cold-start misses.
-    Replay(&cached, keys, seed, &mgr, nullptr, nullptr);
+    Pass(&cached, hot_trace, seed, &mgr, nullptr, nullptr);
 
-    ChurnOutcome cell;
+    PassOutcome cell;
     cache::Stats before = mgr.stats();
     Rng churn_rng(Mix64(seed ^ 0xc4a7));
     Rng org(Mix64(seed ^ 0x0b51));
-    for (size_t q = 0; q < keys.size(); ++q) {
+    for (size_t q = 0; q < hot_trace.size(); ++q) {
       if (rate > 0 && q % static_cast<size_t>(rate) == 0) {
         size_t contact = churn_rng.NextBelow(plain.members.size());
         auto j1 = plain.overlay->Join(plain.members[contact]);
@@ -344,25 +271,18 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
                             static_cast<long>(victim));
         cached.members.erase(cached.members.begin() +
                              static_cast<long>(victim));
-        ++cell.churn_pairs;
       }
-      net::PeerId from =
-          plain.members[org.NextBelow(plain.members.size())];
-      overlay::OpStats ref = plain.overlay->ExactSearch(from, keys[q]);
-      overlay::OpStats st = cached.overlay->ExactSearch(from, keys[q]);
+      net::PeerId from = plain.RandomMember(&org);
+      const Key key = hot_trace[q].key;
+      overlay::OpStats ref = plain.overlay->ExactSearch(from, key);
+      overlay::OpStats st = cached.overlay->ExactSearch(from, key);
       BATON_CHECK(st.peer == ref.peer && st.found == ref.found)
           << name << " cached answer diverged under churn at op " << q;
-      ++cell.cached.ops;
-      if (st.ok()) ++cell.cached.ok;
-      cell.cached.hops += static_cast<uint64_t>(st.hops > 0 ? st.hops : 0);
-      cell.cached.messages += st.messages;
-      cell.cached.cache_hits += static_cast<uint64_t>(st.cache_hits);
-      cell.cached.cache_stale += static_cast<uint64_t>(st.cache_stale);
-      cell.cached.hops_saved += static_cast<uint64_t>(st.hops_saved);
+      cell.agg.Accumulate(st);
     }
     const cache::Stats& after = mgr.stats();
-    cell.cached.misses = after.misses - before.misses;
-    cell.cached.evictions = after.evictions - before.evictions;
+    cell.misses = after.misses - before.misses;
+    cell.evictions = after.evictions - before.evictions;
     out.churn.push_back(cell);
   }
   return out;
@@ -374,15 +294,17 @@ std::string Pct(uint64_t num, uint64_t den) {
                            static_cast<double>(den));
 }
 
-std::string PerOp(uint64_t v, uint64_t ops) {
-  if (ops == 0) return "n/a";
+/// `v` per executed op of the pass.
+std::string PerOp(uint64_t v, const PassOutcome& p) {
+  if (p.agg.count == 0) return "n/a";
   return TablePrinter::Num(static_cast<double>(v) /
-                           static_cast<double>(ops));
+                           static_cast<double>(p.agg.count));
 }
 
-/// Warm-pass hit rate: verified hits over all route-cache consults.
+/// Hit rate: verified hits over all route-cache consults.
 std::string HitRate(const PassOutcome& p) {
-  return Pct(p.cache_hits, p.cache_hits + p.misses + p.cache_stale);
+  const workload::OpAggregate& a = p.agg;
+  return Pct(a.cache_hits, a.cache_hits + p.misses + a.cache_stale);
 }
 
 void Run(const Options& opt) {
@@ -427,49 +349,44 @@ void Run(const Options& opt) {
       }
 
       for (size_t d = 0; d < dists.size(); ++d) {
-        const DistOutcome& cell = merged.dists[d];
+        const PassOutcome& uc = merged.dists[d].uncached;
+        const PassOutcome& cold = merged.dists[d].cold;
+        const PassOutcome& warm = merged.dists[d].warm;
         skew.AddRow({TablePrinter::Int(static_cast<int64_t>(n)), name,
-                     dists[d].Label(),
-                     PerOp(cell.uncached.hops, cell.uncached.ops),
-                     PerOp(cell.cold.hops, cell.cold.ops),
-                     PerOp(cell.warm.hops, cell.warm.ops),
-                     Pct(cell.warm.hops, cell.uncached.hops),
-                     HitRate(cell.warm),
-                     PerOp(cell.warm.hops_saved, cell.warm.ops),
-                     PerOp(cell.uncached.messages, cell.uncached.ops),
-                     PerOp(cell.warm.messages, cell.warm.ops),
-                     PerOp(cell.uncached.latency, cell.uncached.ops),
-                     PerOp(cell.warm.latency, cell.warm.ops)});
+                     dists[d].Label(), PerOp(uc.agg.hops, uc),
+                     PerOp(cold.agg.hops, cold), PerOp(warm.agg.hops, warm),
+                     Pct(warm.agg.hops, uc.agg.hops), HitRate(warm),
+                     PerOp(warm.agg.hops_saved, warm),
+                     PerOp(uc.agg.messages, uc),
+                     PerOp(warm.agg.messages, warm),
+                     PerOp(uc.agg.latency, uc),
+                     PerOp(warm.agg.latency, warm)});
       }
       for (size_t c = 0; c < merged.capacities.size(); ++c) {
         const PassOutcome& p = merged.capacities[c];
         caps.AddRow({TablePrinter::Int(static_cast<int64_t>(n)), name,
                      TablePrinter::Int(static_cast<int64_t>(kCapacities[c])),
-                     PerOp(p.hops, p.ops), HitRate(p),
-                     PerOp(p.evictions, p.ops), PerOp(p.messages, p.ops)});
+                     PerOp(p.agg.hops, p), HitRate(p),
+                     PerOp(p.evictions, p), PerOp(p.agg.messages, p)});
       }
       for (size_t c = 0; c < merged.churn.size(); ++c) {
-        const ChurnOutcome& cc = merged.churn[c];
+        const PassOutcome& p = merged.churn[c];
         char cadence[32];
         std::snprintf(cadence, sizeof cadence, "1/%d", kChurnRates[c]);
         churn.AddRow({TablePrinter::Int(static_cast<int64_t>(n)), name,
-                      cadence, Pct(cc.cached.ok, cc.cached.ops),
-                      PerOp(cc.cached.hops, cc.cached.ops),
-                      HitRate(cc.cached),
-                      PerOp(cc.cached.cache_stale, cc.cached.ops),
-                      PerOp(cc.cached.evictions, cc.cached.ops),
-                      PerOp(cc.cached.messages, cc.cached.ops)});
+                      cadence, Pct(p.agg.ok, p.agg.count),
+                      PerOp(p.agg.hops, p), HitRate(p),
+                      PerOp(p.agg.cache_stale, p), PerOp(p.evictions, p),
+                      PerOp(p.agg.messages, p)});
       }
       auto fault_row = [&](const char* mode, const PassOutcome& p) {
-        faulted.AddRow({TablePrinter::Int(static_cast<int64_t>(n)), name,
-                        mode, Pct(p.ok, p.ops),
-                        TablePrinter::Int(static_cast<int64_t>(p.gave_up)),
-                        PerOp(p.retries, p.ops),
-                        TablePrinter::Int(static_cast<int64_t>(p.dropped)),
-                        PerOp(p.messages, p.ops),
-                        p.cache_hits + p.misses + p.cache_stale == 0
-                            ? "n/a"
-                            : HitRate(p)});
+        faulted.AddRow(
+            {TablePrinter::Int(static_cast<int64_t>(n)), name, mode,
+             Pct(p.agg.ok, p.agg.count),
+             TablePrinter::Int(static_cast<int64_t>(p.agg.gave_up)),
+             PerOp(p.agg.retries, p),
+             TablePrinter::Int(static_cast<int64_t>(p.agg.dropped_msgs)),
+             PerOp(p.agg.messages, p), HitRate(p)});
       };
       fault_row("uncached", merged.fault_uncached);
       fault_row("warm", merged.fault_warm);

@@ -39,8 +39,6 @@ namespace baton {
 namespace bench {
 namespace {
 
-constexpr Key kDomainHi = 1000000000;
-
 /// Samples from one (backend, N, seed) task.
 struct SeedSample {
   double search_hops = 0, search_msgs = 0, search_lat = 0;
@@ -62,32 +60,11 @@ SeedSample RunSeed(const std::string& name, size_t n, int s,
                    const Options& opt) {
   SeedSample out;
   uint64_t seed = opt.base_seed + static_cast<uint64_t>(s);
+  // The replayed ops below are timed and observed, construction is not;
+  // with neither --trace nor --metrics the overlay runs with a null
+  // observer (no per-message work at all).
+  Instance inst = BuildLoaded(name, n, seed, opt);
   workload::UniformKeys keys(1, kDomainHi);
-
-  // Order-preserving backends preload while growing (ranges track the
-  // content median); hash-partitioned ones are insensitive to load order
-  // and get the same data afterwards from a dedicated rng, so the
-  // trace/replay stream below is identical for every backend.
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &keys);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &keys, &load_rng);
-  }
-
-  // Attach the sim kernel after the build: the replayed ops below are
-  // timed, construction is not (and the protocol rng streams are
-  // untouched either way).
-  AttachLatency(&inst, opt.latency, seed);
-  // Same post-build attachment for observability: spans/metrics cover the
-  // replayed ops, not construction, and with neither --trace nor --metrics
-  // the overlay runs with a null observer (no per-message work at all).
-  if (opt.obs_enabled()) {
-    AttachObserver(&inst, /*tracing=*/!opt.trace_path.empty());
-  }
 
   workload::ChurnMix mix;
   mix.joins = n / 10;

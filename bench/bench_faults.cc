@@ -42,72 +42,22 @@ namespace baton {
 namespace bench {
 namespace {
 
-constexpr Key kDomainHi = 1000000000;
+using workload::OpAggregate;
 
-/// One fault cell's outcomes over a query-trace replay, mergeable across
-/// seeds.
-struct CellOutcome {
-  uint64_t ops = 0;
-  uint64_t ok = 0;
-  uint64_t gave_up = 0;
-  uint64_t degraded = 0;
-  uint64_t retries = 0;
-  uint64_t dropped = 0;   // messages lost across all attempts
-  uint64_t messages = 0;  // total message bill, retries included
-  uint64_t latency = 0;   // total simulated ticks, backoff included
-
-  void Merge(const CellOutcome& o) {
-    ops += o.ops;
-    ok += o.ok;
-    gave_up += o.gave_up;
-    degraded += o.degraded;
-    retries += o.retries;
-    dropped += o.dropped;
-    messages += o.messages;
-    latency += o.latency;
-  }
-};
-
-/// Correlated-outage replay outcomes (kFailRecovery backends only).
-struct BurstOutcome {
-  bool supported = false;
-  uint64_t bursts = 0;       // kFailRegion events executed
-  uint64_t burst_msgs = 0;   // fail + recovery message bill
-  uint64_t exact_ops = 0;
-  uint64_t exact_ok = 0;
-  uint64_t degraded = 0;     // ops that absorbed faults (burst rows)
-
-  void Merge(const BurstOutcome& o) {
-    supported = supported || o.supported;
-    bursts += o.bursts;
-    burst_msgs += o.burst_msgs;
-    exact_ops += o.exact_ops;
-    exact_ok += o.exact_ok;
-    degraded += o.degraded;
-  }
-};
-
+/// A fault cell's outcome is the aggregate of its query replay, exact and
+/// range searches merged. The correlated-outage replay (kFailRecovery
+/// backends only) keeps its bursts and its exact searches apart.
 struct SeedResult {
-  CellOutcome baseline;                         // faults detached
-  std::vector<std::vector<CellOutcome>> cells;  // [drop][retry]
-  BurstOutcome burst;
+  OpAggregate baseline;                         // faults detached
+  std::vector<std::vector<OpAggregate>> cells;  // [drop][retry]
+  OpAggregate bursts;                           // kFailRegion events
+  OpAggregate burst_exacts;                     // queries between them
 };
 
 SeedResult RunSeed(const std::string& name, size_t n, int s,
                    const Options& opt) {
   uint64_t seed = opt.base_seed + static_cast<uint64_t>(s);
-  workload::UniformKeys preload(1, kDomainHi);
-
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &preload);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &preload, &load_rng);
-  }
-  AttachLatency(&inst, opt.latency, seed);
+  Instance inst = BuildLoaded(name, n, seed, opt);
   overlay::Overlay* ov = inst.overlay.get();
 
   // One query trace replayed in every cell: exact searches plus (where
@@ -134,30 +84,18 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
   // Replays the trace under the currently attached plan/policy. The origin
   // rng stream restarts identically per cell.
   auto run_cell = [&]() {
-    CellOutcome out;
     Rng org(Mix64(seed ^ 0x0b51));
-    for (const workload::Op& op : trace) {
-      net::PeerId from = inst.members[org.NextBelow(inst.members.size())];
-      overlay::OpStats st =
-          op.type == workload::OpType::kRange
-              ? ov->RangeSearch(from, op.key, op.key_hi)
-              : ov->ExactSearch(from, op.key);
-      ++out.ops;
-      if (st.ok()) ++out.ok;
-      if (st.gave_up) ++out.gave_up;
-      if (st.degraded) ++out.degraded;
-      out.retries += static_cast<uint64_t>(st.retries > 0 ? st.retries : 0);
-      out.dropped += st.dropped_msgs;
-      out.messages += st.messages;
-      out.latency += st.latency_ticks;
-    }
+    workload::ReplayResult rr =
+        workload::Replay(*ov, trace, &org, &inst.members);
+    OpAggregate out = rr.of(workload::OpType::kExact);
+    out.Merge(rr.of(workload::OpType::kRange));
     return out;
   };
 
   SeedResult out;
   out.baseline = run_cell();  // faults detached: the byte-identical anchor
   out.cells.assign(opt.drop_rates.size(),
-                   std::vector<CellOutcome>(opt.retry_budgets.size()));
+                   std::vector<OpAggregate>(opt.retry_budgets.size()));
   for (size_t d = 0; d < opt.drop_rates.size(); ++d) {
     for (size_t r = 0; r < opt.retry_budgets.size(); ++r) {
       fault::PlanConfig pcfg;
@@ -185,7 +123,6 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
   // them, and interleaves queries -- the "subtree goes dark" scenario the
   // message-level sweep above cannot express.
   if (ov->Supports(overlay::kFailRecovery)) {
-    out.burst.supported = true;
     workload::CorrelatedFailMix mix;
     mix.bursts = 3;
     mix.burst_width = 4;
@@ -198,14 +135,8 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
     Rng rrng(Mix64(seed ^ 0x4e91a));
     workload::ReplayResult rr =
         workload::Replay(*ov, burst_trace, &rrng, &inst.members);
-    const workload::OpAggregate& fr =
-        rr.of(workload::OpType::kFailRegion);
-    const workload::OpAggregate& ex = rr.of(workload::OpType::kExact);
-    out.burst.bursts = fr.count;
-    out.burst.burst_msgs = fr.messages;
-    out.burst.exact_ops = ex.count;
-    out.burst.exact_ok = ex.ok;
-    out.burst.degraded = fr.degraded + ex.degraded;
+    out.bursts = rr.of(workload::OpType::kFailRegion);
+    out.burst_exacts = rr.of(workload::OpType::kExact);
   }
   return out;
 }
@@ -229,20 +160,20 @@ void Run(const Options& opt) {
                       "msg/op", "lat/op"});
   auto add_row = [&](size_t n, const std::string& name,
                      const std::string& drop, const std::string& budget,
-                     const CellOutcome& m) {
+                     const OpAggregate& m) {
     auto per_op = [&](uint64_t v) {
-      return m.ops == 0 ? "n/a"
-                        : TablePrinter::Num(static_cast<double>(v) /
-                                            static_cast<double>(m.ops));
+      return m.count == 0 ? "n/a"
+                          : TablePrinter::Num(static_cast<double>(v) /
+                                              static_cast<double>(m.count));
     };
     table.AddRow({TablePrinter::Int(static_cast<int64_t>(n)), name, drop,
-                  budget, TablePrinter::Int(static_cast<int64_t>(m.ops)),
+                  budget, TablePrinter::Int(static_cast<int64_t>(m.count)),
                   TablePrinter::Int(static_cast<int64_t>(m.ok)),
-                  Pct(m.ok, m.ops),
+                  Pct(m.ok, m.count),
                   TablePrinter::Int(static_cast<int64_t>(m.gave_up)),
                   TablePrinter::Int(static_cast<int64_t>(m.degraded)),
                   per_op(m.retries),
-                  TablePrinter::Int(static_cast<int64_t>(m.dropped)),
+                  TablePrinter::Int(static_cast<int64_t>(m.dropped_msgs)),
                   per_op(m.messages), per_op(m.latency)});
   };
 
@@ -253,11 +184,11 @@ void Run(const Options& opt) {
   size_t idx = 0;
   for (size_t n : opt.sizes) {
     for (const std::string& name : overlays) {
-      CellOutcome baseline;
-      std::vector<std::vector<CellOutcome>> cells(
+      OpAggregate baseline;
+      std::vector<std::vector<OpAggregate>> cells(
           opt.drop_rates.size(),
-          std::vector<CellOutcome>(opt.retry_budgets.size()));
-      BurstOutcome burst;
+          std::vector<OpAggregate>(opt.retry_budgets.size()));
+      OpAggregate burst, exacts;
       for (int s = 0; s < opt.seeds; ++s) {
         const SeedResult& r = results[idx++];
         baseline.Merge(r.baseline);
@@ -266,7 +197,8 @@ void Run(const Options& opt) {
             cells[d][b].Merge(r.cells[d][b]);
           }
         }
-        burst.Merge(r.burst);
+        burst.Merge(r.bursts);
+        exacts.Merge(r.burst_exacts);
       }
       add_row(n, name, "none", "0", baseline);
       for (size_t d = 0; d < opt.drop_rates.size(); ++d) {
@@ -278,19 +210,16 @@ void Run(const Options& opt) {
           add_row(n, name, drop, budget, cells[d][b]);
         }
       }
-      if (burst.supported) {
+      if (overlay::Make(name)->Supports(overlay::kFailRecovery)) {
         any_burst = true;
-        auto per_burst =
-            burst.bursts == 0
-                ? std::string("n/a")
-                : TablePrinter::Num(static_cast<double>(burst.burst_msgs) /
-                                    static_cast<double>(burst.bursts));
-        bursts.AddRow({TablePrinter::Int(static_cast<int64_t>(n)), name,
-                       TablePrinter::Int(static_cast<int64_t>(burst.bursts)),
-                       "4", per_burst,
-                       Pct(burst.exact_ok, burst.exact_ops),
-                       TablePrinter::Int(
-                           static_cast<int64_t>(burst.degraded))});
+        bursts.AddRow(
+            {TablePrinter::Int(static_cast<int64_t>(n)), name,
+             TablePrinter::Int(static_cast<int64_t>(burst.count)), "4",
+             burst.count == 0 ? "n/a"
+                              : TablePrinter::Num(burst.MeanMessages()),
+             Pct(exacts.ok, exacts.count),
+             TablePrinter::Int(
+                 static_cast<int64_t>(burst.degraded + exacts.degraded))});
       }
     }
   }

@@ -43,8 +43,6 @@ namespace baton {
 namespace bench {
 namespace {
 
-constexpr Key kDomainHi = 1000000000;
-
 /// Per-query samples from one (backend, N, seed) task.
 struct SeedSample {
   std::vector<double> exact_hops, exact_lat;
@@ -61,27 +59,12 @@ SeedSample RunSeed(const std::string& name, size_t n, int s,
   SeedSample out;
   const Key width = kDomainHi / 1000;  // 0.1% selectivity, as in Fig 8(e)
   uint64_t seed = opt.base_seed + static_cast<uint64_t>(s);
-  workload::UniformKeys keys(1, kDomainHi);  // preload: stored-data dist
   // Request-key distribution: uniform unless --key-dist says otherwise
-  // (uniform draws are identical to the preload generator's, so the default
-  // output is byte-identical to the pre-flag bench).
+  // (the stored data stays uniform either way).
   KeyDistSpec qdist = opt.key_dists.empty() ? KeyDistSpec{} : opt.key_dists[0];
   std::unique_ptr<workload::KeyGenerator> query_keys =
       MakeKeyGenerator(qdist, 1, kDomainHi);
-
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &keys);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &keys, &load_rng);
-  }
-  AttachLatency(&inst, opt.latency, seed);
-  if (opt.obs_enabled()) {
-    AttachObserver(&inst, /*tracing=*/!opt.trace_path.empty());
-  }
+  Instance inst = BuildLoaded(name, n, seed, opt);
 
   Rng rng(Mix64(seed ^ 0x1a7e));
   for (int q = 0; q < opt.queries; ++q) {

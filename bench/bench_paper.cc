@@ -37,7 +37,6 @@ namespace baton {
 namespace bench {
 namespace {
 
-constexpr Key kDomainHi = 1000000000;
 constexpr int kChurnOps = 100;
 
 uint64_t Seed(const Options& opt, int s) {

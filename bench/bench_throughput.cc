@@ -43,8 +43,6 @@ namespace baton {
 namespace bench {
 namespace {
 
-constexpr Key kDomainHi = 1000000000;
-
 /// One engine run's outputs, mergeable across seeds.
 struct RunOutcome {
   double offered_rate = 0;  // ops/tick offered (0 for closed loop)
@@ -109,17 +107,7 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
                    const Options& opt,
                    const std::vector<KeyDistSpec>& dists) {
   uint64_t seed = opt.base_seed + static_cast<uint64_t>(s);
-  workload::UniformKeys preload(1, kDomainHi);
-
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &preload);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &preload, &load_rng);
-  }
+  Instance inst = BuildLoaded(name, n, seed, opt);
 
   // One pure exact-search trace per distribution; queries mutate nothing,
   // so every engine run replays against the identical overlay state, and a

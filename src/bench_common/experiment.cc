@@ -480,10 +480,7 @@ void PrintUsage(std::FILE* out) {
   }
 }
 
-}  // namespace
-
-void RejectFlag(const std::string& msg) { BadFlag(msg); }
-
+/// Builds the latency model `spec` describes, or nullptr for Kind::kNone.
 std::unique_ptr<sim::LatencyModel> MakeLatencyModel(const LatencySpec& spec) {
   switch (spec.kind) {
     case LatencySpec::Kind::kNone:
@@ -495,6 +492,17 @@ std::unique_ptr<sim::LatencyModel> MakeLatencyModel(const LatencySpec& spec) {
   }
   return nullptr;
 }
+
+BatonConfig BalancedConfig() {
+  BatonConfig cfg;
+  cfg.enable_load_balance = true;
+  cfg.overload_factor = 2.2;
+  return cfg;
+}
+
+}  // namespace
+
+void RejectFlag(const std::string& msg) { BadFlag(msg); }
 
 std::string KeyDistSpec::Label() const {
   if (kind == Kind::kUniform) return "uniform";
@@ -664,13 +672,6 @@ void ParallelFor(size_t count, int threads,
   for (std::thread& t : pool) t.join();
 }
 
-BatonConfig BalancedConfig() {
-  BatonConfig cfg;
-  cfg.enable_load_balance = true;
-  cfg.overload_factor = 2.2;
-  return cfg;
-}
-
 BatonConfig ReplicatedConfig(int r) {
   BatonConfig cfg = BalancedConfig();
   cfg.replication.factor = r;
@@ -725,14 +726,21 @@ void LoadOverlay(Instance* inst, size_t keys_per_node,
   }
 }
 
-uint64_t SumTypes(const net::CounterSnapshot& before,
-                  const net::CounterSnapshot& after,
-                  std::initializer_list<net::MsgType> types) {
-  uint64_t sum = 0;
-  for (net::MsgType t : types) {
-    sum += net::Network::DeltaOfType(before, after, t);
+Instance BuildLoaded(const std::string& name, size_t n, uint64_t seed,
+                     const Options& opt) {
+  workload::UniformKeys keys(1, kDomainHi);
+  const overlay::Config cfg = BalancedOverlayConfig();
+  Instance inst;
+  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
+    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &keys);
+  } else {
+    Rng load_rng(Mix64(seed ^ 0x10ad));
+    inst = BuildOverlay(name, n, seed, cfg);
+    LoadOverlay(&inst, opt.keys_per_node, &keys, &load_rng);
   }
-  return sum;
+  AttachLatency(&inst, opt.latency, seed);
+  if (opt.obs_enabled()) AttachObserver(&inst, !opt.trace_path.empty());
+  return inst;
 }
 
 uint64_t MaintenanceDelta(const net::CounterSnapshot& before,

@@ -1,6 +1,9 @@
 // Shared bench harness: one overlay-generic Instance builder/loader (any
 // registered backend, via overlay::Make), per-bench option parsing and table
-// output. bench_paper reproduces the panels of the paper's Figure 8 with it.
+// output. bench_paper reproduces the panels of the paper's Figure 8 with it;
+// the query benches (compare_overlays, latency_query, throughput, faults,
+// cache) start each (backend, N, seed) task from BuildLoaded's preloaded,
+// latency-attached instance and drive it through workload::Replay/ApplyOp.
 //
 // Default scale (N up to 8000, 100 keys/node, 2 seeds) keeps every binary
 // fast; pass --paper_scale for the paper's setup (N = 1000..10000, 1000
@@ -10,7 +13,6 @@
 #define BATON_BENCH_COMMON_EXPERIMENT_H_
 
 #include <functional>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +29,10 @@
 namespace baton {
 namespace bench {
 
+/// Upper bound of the key domain [1, kDomainHi) every bench stores and
+/// queries.
+inline constexpr Key kDomainHi = 1000000000;
+
 /// Link-latency model selected with --latency=const:N|uniform:LO,HI. With
 /// Kind::kNone no sim kernel is attached at all: OpStats::latency_ticks
 /// stays 0 and every bench table is byte-identical to a build without sim
@@ -39,9 +45,6 @@ struct LatencySpec {
 
   bool enabled() const { return kind != Kind::kNone; }
 };
-
-/// Builds the latency model `spec` describes, or nullptr for Kind::kNone.
-std::unique_ptr<sim::LatencyModel> MakeLatencyModel(const LatencySpec& spec);
 
 /// Request-key distribution selected with --key-dist=uniform|zipf:THETA.
 /// Uniform is the paper's setup; zipf:THETA concentrates queries on the
@@ -240,19 +243,16 @@ void SetJsonMirror(const std::string& path);
 /// otherwise every registered backend.
 std::vector<std::string> SelectedOverlays(const Options& opt);
 
-/// Standard experiment configuration: load balancing on with an adaptive
-/// threshold (overloaded = 2.2x the current network-average load, so
-/// uniform workloads trip it only on outliers). Section IV-D's machinery is
-/// what keeps node loads -- and thus ranges -- matched to the data
-/// distribution.
-BatonConfig BalancedConfig();
-
-/// BalancedConfig plus replication at factor r (0 = off): each node's keys
-/// mirrored on r holders, restored on failure. The durability bench sweeps r.
+/// BalancedOverlayConfig's BATON configuration plus replication at factor r
+/// (0 = off): each node's keys mirrored on r holders, restored on failure.
+/// The durability bench sweeps r.
 BatonConfig ReplicatedConfig(int r);
 
-/// overlay::Config carrying BalancedConfig for the BATON backend (other
-/// backends use their defaults) -- the standard setup of the Fig. 8 benches.
+/// overlay::Config for the standard setup of the Fig. 8 benches: BATON with
+/// load balancing on at an adaptive threshold (overloaded = 2.2x the current
+/// network-average load, so uniform workloads trip it only on outliers);
+/// other backends use their defaults. Section IV-D's machinery is what keeps
+/// node loads -- and thus ranges -- matched to the data distribution.
 overlay::Config BalancedOverlayConfig();
 
 /// A built overlay of any backend plus the member list benches sample
@@ -324,6 +324,17 @@ Instance BuildOverlay(const std::string& name, size_t n, uint64_t seed,
 void LoadOverlay(Instance* inst, size_t keys_per_node,
                  workload::KeyGenerator* gen, Rng* rng);
 
+/// The loaded network the query benches measure on: n `name`-backend nodes
+/// under BalancedOverlayConfig holding opt.keys_per_node uniform keys per
+/// node from [1, kDomainHi). Order-preserving backends preload while they
+/// grow (BuildOverlay); the rest are built data-less and then loaded from a
+/// dedicated rng, so every backend's later rng streams start identically.
+/// Then attaches opt.latency (AttachLatency) and, when opt.obs_enabled(),
+/// an observer (tracing when opt.trace_path is set): the timed and observed
+/// window covers the measured ops, not construction.
+Instance BuildLoaded(const std::string& name, size_t n, uint64_t seed,
+                     const Options& opt);
+
 /// Joins a random contact then removes a random member, `ops` times, on any
 /// backend; each phase's message cost -- `join_cost(before, after)` /
 /// `leave_cost(before, after)` over the counter snapshots bracketing it --
@@ -349,11 +360,6 @@ void JoinLeaveChurn(Instance* inst, Rng* rng, int ops, JoinCost&& join_cost,
     leave_stat->Add(static_cast<double>(leave_cost(mid, after)));
   }
 }
-
-/// Sum of per-type deltas between two counter snapshots.
-uint64_t SumTypes(const net::CounterSnapshot& before,
-                  const net::CounterSnapshot& after,
-                  std::initializer_list<net::MsgType> types);
 
 /// Messages in the maintenance category (routing-table/link updates).
 uint64_t MaintenanceDelta(const net::CounterSnapshot& before,

@@ -213,7 +213,6 @@ void Manager::RefreshFastTable(const Backend& b, net::Network* net,
   for (const FastEntry& fe : fast_) {
     if (fe.peer == node || !net->IsAlive(fe.peer)) continue;
     net->Count(fe.peer, node, net::MsgType::kCacheRefresh);
-    ++stats_.refresh_msgs;
   }
   nc.refreshed_version = version_;
   ++stats_.refreshes;

@@ -86,7 +86,6 @@ struct Stats {
   uint64_t invalidations = 0;  // entries dropped by invalidation hooks
   uint64_t fast_hits = 0;      // cold lookups that took a fast-table jump
   uint64_t refreshes = 0;      // per-node lazy fast-table refreshes
-  uint64_t refresh_msgs = 0;   // kCacheRefresh messages those refreshes cost
 };
 
 /// The obs::Registry counter each Stats field is published as.

@@ -20,6 +20,10 @@ void OpAggregate::Accumulate(const overlay::OpStats& st) {
   if (st.gave_up) ++gave_up;
   if (st.degraded) ++degraded;
   dropped_msgs += st.dropped_msgs;
+  cache_hits += static_cast<uint64_t>(st.cache_hits > 0 ? st.cache_hits : 0);
+  cache_stale +=
+      static_cast<uint64_t>(st.cache_stale > 0 ? st.cache_stale : 0);
+  hops_saved += static_cast<uint64_t>(st.hops_saved > 0 ? st.hops_saved : 0);
   hops_hist.Add(h);
   messages_hist.Add(st.messages);
   latency_hist.Add(st.latency_ticks);
@@ -39,6 +43,9 @@ void OpAggregate::Merge(const OpAggregate& other) {
   gave_up += other.gave_up;
   degraded += other.degraded;
   dropped_msgs += other.dropped_msgs;
+  cache_hits += other.cache_hits;
+  cache_stale += other.cache_stale;
+  hops_saved += other.hops_saved;
   hops_hist.Merge(other.hops_hist);
   messages_hist.Merge(other.messages_hist);
   latency_hist.Merge(other.latency_hist);

@@ -54,6 +54,11 @@ struct OpAggregate {
   uint64_t degraded = 0;      // ops that completed by absorbing faults
   uint64_t dropped_msgs = 0;  // total messages lost across ops
 
+  // Route-cache outcomes (all zero without a cache manager attached).
+  uint64_t cache_hits = 0;   // total OpStats::cache_hits (verified jumps)
+  uint64_t cache_stale = 0;  // total OpStats::cache_stale (refuted probes)
+  uint64_t hops_saved = 0;   // total OpStats::hops_saved
+
   /// Full distributions behind the totals (one sample per executed op), so
   /// replays report tail behaviour -- p50/p90/p99 -- not just means.
   /// Log-bucketed and mergeable across seeds/tasks; empty for an OpType the

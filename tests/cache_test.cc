@@ -17,6 +17,7 @@
 #include "overlay/chord_overlay.h"
 #include "overlay/registry.h"
 #include "util/rng.h"
+#include "workload/replay.h"
 #include "workload/workload.h"
 
 namespace baton {
@@ -359,6 +360,49 @@ TEST(CacheOverlay, PublishedMetricsMatchManagerStats) {
     EXPECT_GT(s.invalidations, 0u);
     EXPECT_GT(s.fast_hits, 0u);
     EXPECT_GT(s.refreshes, 0u);
+
+    // workload::OpAggregate sums the same per-op cache outcomes: over a
+    // Replay of exact searches, hits/stale match the manager's delta and
+    // hops_saved matches the per-op OpStats sum of an identical run over a
+    // copy of the cache state (queries change no membership). A wrong
+    // route to keys[0] planted at every member makes some probes stale.
+    const net::PeerId owner = ov->ExactSearch(members[0], keys[0]).peer;
+    const net::PeerId wrong = members[0] == owner ? members[1] : members[0];
+    const uint64_t rc = ov->RouteCoordOf(keys[0]);
+    for (net::PeerId m : members) mgr.Learn(m, rc, rc + 1, wrong, 1);
+    workload::Trace trace;
+    for (int i = 0; i < 400; ++i) {
+      trace.push_back({workload::OpType::kExact,
+                       keys[static_cast<size_t>(i) % keys.size()], 0});
+    }
+    cache::Manager twin = mgr;
+    ov->AttachCache(&twin);
+    Rng twin_rng(Mix64(43 ^ 0x0b51));
+    uint64_t saved = 0;
+    for (const workload::Op& op : trace) {
+      OpStats st = workload::ApplyOp(*ov, op, &twin_rng, &members, {}).stats;
+      saved += static_cast<uint64_t>(st.hops_saved);
+    }
+    ov->AttachCache(&mgr);
+    const cache::Stats before = mgr.stats();
+    Rng replay_rng(Mix64(43 ^ 0x0b51));
+    const workload::OpAggregate cached =
+        workload::Replay(*ov, trace, &replay_rng, &members)
+            .of(workload::OpType::kExact);
+    EXPECT_EQ(cached.cache_hits, mgr.stats().hits - before.hits);
+    EXPECT_EQ(cached.cache_stale, mgr.stats().stale - before.stale);
+    EXPECT_EQ(cached.hops_saved, saved);
+    EXPECT_GT(cached.cache_hits, 0u);
+    EXPECT_GT(cached.cache_stale, 0u);
+    EXPECT_GT(cached.hops_saved, 0u);
+
+    ov->AttachCache(nullptr);
+    const workload::OpAggregate plain =
+        workload::Replay(*ov, trace, &replay_rng, &members)
+            .of(workload::OpType::kExact);
+    EXPECT_EQ(plain.cache_hits, 0u);
+    EXPECT_EQ(plain.cache_stale, 0u);
+    EXPECT_EQ(plain.hops_saved, 0u);
   }
 }
 
