@@ -3,7 +3,7 @@
 // output. bench_paper reproduces the panels of the paper's Figure 8 with it;
 // the query benches (compare_overlays, latency_query, throughput, faults,
 // cache) start each (backend, N, seed) task from BuildLoaded's preloaded,
-// latency-attached instance and drive it through workload::Replay/ApplyOp.
+// latency-attached instance.
 //
 // Default scale (N up to 8000, 100 keys/node, 2 seeds) keeps every binary
 // fast; pass --paper_scale for the paper's setup (N = 1000..10000, 1000
